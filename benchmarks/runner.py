@@ -197,7 +197,7 @@ def bench_sharded() -> dict:
 
 
 def bench_backends() -> dict:
-    """Kernel-backend grid (numpy/numba/procpool) from bench_backends.py.
+    """Kernel-backend grid (numpy/numba) from bench_backends.py.
 
     Runs at the full paper scale (n = 2^22, m in {32, 256}, workers in
     {1, 4}) per the backend acceptance spec; the committed baseline

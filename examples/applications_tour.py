@@ -23,7 +23,7 @@ from repro.simt import Device, K40C
 def hash_table_demo():
     rng = np.random.default_rng(0)
     n = 30000
-    keys = rng.choice(np.arange(1, 2**31, dtype=np.uint32), n, replace=False)
+    keys = (rng.choice(2**31 - 1, n, replace=False) + 1).astype(np.uint32)
     values = rng.integers(0, 2**32, n, dtype=np.uint32)
     dev = Device(K40C)
     ht = HashTable(keys, values, device=dev)

@@ -2,15 +2,14 @@
 
 ``repro.multisplit`` runs every call through the audited SIMT substrate
 so the paper's figures and tables reproduce; this package is the other
-half of the bargain — production callers that only need the permuted
-output select it with ``multisplit(..., engine="fast")`` (monolithic
-fused kernels), ``multisplit(..., engine="sharded")`` (the paper's
-{local, global, local} decomposition run shard-parallel across threads),
-or ``multisplit(..., engine="stream")`` (the same decomposition applied
-twice, streaming chunked/memmap sources out-of-core with bounded peak
-memory) and get the bit-identical result from fused numpy kernels,
-pooled scratch (:class:`Workspace`), and batched dispatch
-(:func:`multisplit_batch`), with no timeline attached.
+half of the bargain. Production callers that only need the permuted
+output select ``multisplit(..., engine="fast")`` (one shard, no thread
+pool), ``engine="sharded"`` (cache-resident shards across worker
+threads) or ``engine="stream"`` (chunked/memmap sources out-of-core
+with bounded peak memory). All three are policies over one
+{local, global, local} pipeline (:mod:`repro.engine.sharded`) and return
+the bit-identical result, with pooled scratch (:class:`Workspace`),
+batched dispatch (:func:`multisplit_batch`) and no timeline attached.
 """
 
 from .fused import fast_multisplit, FAST_METHODS, STABLE_METHODS

@@ -10,13 +10,11 @@ execute; see :mod:`repro.engine.backends.base` for the protocol and
   **single** :class:`BackendFallbackWarning` and the numpy backend.
   Numba is never a hard dependency: nothing in this package fails to
   import without it.
-* ``"procpool"`` — shared-memory process-pool execution of the sharded
-  engine's phases (always available; stdlib only).
 * ``"auto"`` — ``"numba"`` if available, else ``"numpy"``.
 * a :class:`KernelBackend` instance — used as-is (bring your own).
 
 Backends are process-wide singletons so JIT caches, warmed dtype
-signatures, and worker pools are shared across calls.
+signatures are shared across calls.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ __all__ = [
 
 #: Every selectable name, in resolution order ("auto" resolves to one
 #: of the others and is accepted everywhere a name is).
-BACKEND_NAMES = ("numpy", "numba", "procpool")
+BACKEND_NAMES = ("numpy", "numba")
 
 
 class BackendFallbackWarning(RuntimeWarning):
@@ -58,7 +56,6 @@ def available_backends() -> dict[str, bool]:
     return {
         "numpy": True,
         "numba": numba_available(),
-        "procpool": True,
     }
 
 
@@ -70,9 +67,6 @@ def get_backend(name: str) -> KernelBackend:
             inst = NumpyBackend()
         elif name == "numba":
             inst = NumbaBackend()  # raises ImportError when unavailable
-        elif name == "procpool":
-            from .procpool import ProcPoolBackend
-            inst = ProcPoolBackend()
         else:
             raise ValueError(
                 f"unknown backend {name!r} "

@@ -1,8 +1,8 @@
 """KernelBackend: the per-shard kernel protocol of the result-only engines.
 
-The {local, global, local} decomposition (paper Section 3, in-tree as
-``engine="sharded"``) touches the input through exactly two hot
-kernels, both of which operate on one contiguous shard at a time:
+The {local, global, local} pipeline (paper Section 3,
+:func:`repro.engine.sharded.run_pipeline`) touches the input through
+exactly two hot kernels, both of which operate on one shard at a time:
 
 * **prescan** — the shard's ``m``-bin bucket histogram plus a
   monotonicity flag (Eq. 1's per-tile count matrix column); and
@@ -20,24 +20,14 @@ other backend by construction**. The parity fuzz harness
 (:mod:`repro.engine.parity`, ``tests/engine/test_backends.py``) enforces
 this rather than trusting it.
 
-Three implementations ship:
+Two implementations ship, both run on the engines' shared worker
+threads:
 
 * ``numpy``  — :class:`~repro.engine.backends.numpy_backend.NumpyBackend`,
-  the default; exactly the kernels the sharded engine ran before the
-  protocol existed (bincount + stable argsort + slice copies).
+  the default (bincount + stable argsort + gathers).
 * ``numba``  — :class:`~repro.engine.backends.numba_backend.NumbaBackend`,
   opt-in ``@njit(cache=True)`` single-pass loops; degrades to ``numpy``
   with a one-time warning when numba is not importable.
-* ``procpool`` — :class:`~repro.engine.backends.procpool.ProcPoolBackend`,
-  an *executor strategy*: shard workers run in a
-  ``ProcessPoolExecutor`` over ``multiprocessing.shared_memory``
-  buffers, so scaling is bounded by cores rather than the GIL.
-
-``executor`` distinguishes kernel backends (``"thread"``: kernels run
-in the caller's process, optionally under the sharded engine's thread
-pool) from process-pool strategies (``"process"``: the sharded engine
-hands whole shard stripes to worker processes; the kernels above then
-run *inside* the workers).
 
 See ``docs/BACKENDS.md`` for the how-to-add-a-backend guide.
 """
@@ -50,12 +40,18 @@ __all__ = ["KernelBackend", "narrow_ids_dtype"]
 
 
 def narrow_ids_dtype(m: int):
-    """Smallest unsigned dtype that can hold bucket ids in ``[0, m)``."""
+    """Smallest unsigned dtype that can hold bucket ids in ``[0, m)``.
+
+    numpy's stable integer argsort is an LSD radix sort whose pass count
+    scales with the id width, so every engine sorts ids at this width.
+    """
     if m <= (1 << 8):
         return np.uint8
     if m <= (1 << 16):
         return np.uint16
-    return np.uint32
+    if m <= (1 << 32):
+        return np.uint32
+    return np.uint64
 
 
 class KernelBackend:
@@ -68,19 +64,16 @@ class KernelBackend:
     as read-only.
     """
 
-    #: Registry name ("numpy", "numba", "procpool").
+    #: Registry name ("numpy", "numba").
     name = "abstract"
-    #: "thread" — kernels run in-process; "process" — the sharded
-    #: engine routes shard stripes through a shared-memory process pool.
-    executor = "thread"
 
     def warmup(self, keys_dtype, values_dtype, ids_dtype) -> float:
         """Pre-compile kernels for a dtype signature; returns ms spent.
 
-        Engines call this once per call, *before* fanning kernels out to
-        worker threads, so JIT compilation (a) never races and (b) never
-        pollutes per-shard stage timers. Non-compiling backends return
-        ``0.0``.
+        The pipeline calls this once per call, *before* fanning kernels
+        out to worker threads, so JIT compilation never races; its time
+        lands in ``engine.backend.compile_ms``. Non-compiling backends
+        return ``0.0``.
         """
         return 0.0
 
@@ -98,11 +91,11 @@ class KernelBackend:
         """Histogram-only prescan: ``prescan(ids, m)[0]`` without the
         monotonicity check.
 
-        The flag only pays for itself while an engine can still use it
-        (the already-partitioned shortcut, per-shard sort skipping); the
-        stream engine's chunk-sequential pass 1 downgrades to this
-        kernel once the shortcut is dead, saving the extra compare+
-        reduce pass over every remaining shard's ids.
+        The flag only pays for itself while the pipeline can still use
+        it (the already-partitioned shortcut, per-shard sort skipping);
+        the prescan downgrades to this kernel once the shortcut is dead,
+        saving the extra compare+reduce pass over every remaining
+        shard's ids.
         """
         return np.bincount(ids, minlength=m).astype(np.int64, copy=False)
 
@@ -124,4 +117,4 @@ class KernelBackend:
         raise NotImplementedError
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} name={self.name!r} executor={self.executor!r}>"
+        return f"<{type(self).__name__} name={self.name!r}>"

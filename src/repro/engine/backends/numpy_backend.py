@@ -1,10 +1,8 @@
-"""The default backend: the sharded engine's original numpy kernels.
+"""The default backend: numpy kernels (bincount, stable argsort, gathers).
 
-These are, line for line, the kernels ``repro.engine.sharded`` ran
-before the :class:`~repro.engine.backends.base.KernelBackend` protocol
-existed — extracted, not rewritten — so the default backend is
-bit-identical to the pre-backend engine *by construction*, not just by
-test. Every other backend is parity-gated against this one.
+A lone shard's stable gather lands straight in the output; a shard among
+many is gathered into arena scratch and copied run by run to its bucket
+offsets. Every other backend is parity-gated against this one.
 """
 
 from __future__ import annotations
@@ -33,6 +31,15 @@ class NumpyBackend(KernelBackend):
         if n == 0:
             return
         kv = values is not None
+        if n == out_keys.size:
+            # a shard holding every element lands exactly in bucket
+            # order (its offsets are the bucket starts): gather straight
+            # into place
+            order = np.argsort(ids, kind="stable")
+            np.take(keys, order, out=out_keys)
+            if kv:
+                np.take(values, order, out=out_values)
+            return
         if monotone:
             ks, vs = keys, (values if kv else None)
         else:

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.multisplit.bucketing import BucketSpec, as_bucket_spec
+from repro.multisplit.bucketing import as_bucket_spec
 from repro.multisplit.result import MultisplitResult
 from repro.obs import get_registry
 from .workspace import Workspace
@@ -32,31 +32,23 @@ _MIN_PARALLEL_KEYS = 1 << 18
 _MIN_PARALLEL_ITEMS = 4
 
 
-def _resolve_specs(spec_or_fn, num_buckets, count: int) -> list[BucketSpec]:
-    """One spec per batch item: a single spec/callable is shared by all."""
+def _resolve_batch(keys_batch, values_batch, spec_or_fn, num_buckets):
+    """Batch items as lists: keys, values (``None`` entries for key-only
+    items) and one spec per item (a single spec/callable is shared)."""
+    keys_batch = list(keys_batch)
+    count = len(keys_batch)
+    values_batch = [None] * count if values_batch is None else list(values_batch)
+    if len(values_batch) != count:
+        raise ValueError(
+            f"got {len(values_batch)} value arrays for a batch of {count} inputs")
     if isinstance(spec_or_fn, (list, tuple)):
         if len(spec_or_fn) != count:
             raise ValueError(
                 f"got {len(spec_or_fn)} specs for a batch of {count} inputs")
-        return [as_bucket_spec(s, num_buckets) for s in spec_or_fn]
-    spec = as_bucket_spec(spec_or_fn, num_buckets)
-    return [spec] * count
-
-
-def _composite_id_dtype(total_m: int):
-    """Narrowest unsigned dtype holding every composite bucket id.
-
-    numpy's stable integer argsort is an LSD radix sort whose pass count
-    scales with key width, so narrowing the composite ids is the same
-    ~5x lever :func:`~repro.engine.fused._stable_order` uses per item.
-    """
-    if total_m <= (1 << 8):
-        return np.uint8
-    if total_m <= (1 << 16):
-        return np.uint16
-    if total_m <= (1 << 32):
-        return np.uint32
-    return np.uint64
+        specs = [as_bucket_spec(s, num_buckets) for s in spec_or_fn]
+    else:
+        specs = [as_bucket_spec(spec_or_fn, num_buckets)] * count
+    return keys_batch, values_batch, specs
 
 
 def coalesced_multisplit_batch(keys_batch, spec_or_fn,
@@ -89,20 +81,13 @@ def coalesced_multisplit_batch(keys_batch, spec_or_fn,
     stays alive while any result does. ``workspace`` (scratch-only,
     ``reuse_outputs=False``) pools the concatenation buffers.
     """
+    from .backends import narrow_ids_dtype
     from repro.multisplit.api import _pick_auto
     from .fused import STABLE_METHODS, coerce_and_check
 
-    keys_batch = list(keys_batch)
+    keys_batch, values_batch, specs = _resolve_batch(
+        keys_batch, values_batch, spec_or_fn, num_buckets)
     count = len(keys_batch)
-    if values_batch is None:
-        values_batch = [None] * count
-    else:
-        values_batch = list(values_batch)
-        if len(values_batch) != count:
-            raise ValueError(
-                f"got {len(values_batch)} value arrays for a batch of "
-                f"{count} inputs")
-    specs = _resolve_specs(spec_or_fn, num_buckets, count)
     if workspace is not None and workspace.reuse_outputs:
         raise ValueError(
             "coalesced_multisplit_batch needs a Workspace("
@@ -111,17 +96,15 @@ def coalesced_multisplit_batch(keys_batch, spec_or_fn,
         return []
 
     method = getattr(method, "value", method)
-    methods = []
-    for i in range(count):
-        m_i = specs[i].num_buckets
-        resolved = _pick_auto(m_i).value if method == "auto" else method
+    methods = [_pick_auto(spec.num_buckets).value if method == "auto" else method
+               for spec in specs]
+    for i, (spec, resolved) in enumerate(zip(specs, methods)):
         if resolved not in STABLE_METHODS:
             raise ValueError(
                 f"coalesced dispatch covers the stable method family "
                 f"({', '.join(sorted(STABLE_METHODS))}); got {resolved!r}")
-        methods.append(resolved)
         keys_batch[i], values_batch[i] = coerce_and_check(
-            keys_batch[i], values_batch[i], resolved, m_i)
+            keys_batch[i], values_batch[i], resolved, spec.num_buckets)
     key_dtype = keys_batch[0].dtype
     if any(k.dtype != key_dtype for k in keys_batch):
         raise ValueError(
@@ -131,7 +114,8 @@ def coalesced_multisplit_batch(keys_batch, spec_or_fn,
     sizes = [k.size for k in keys_batch]
     total = sum(sizes)
     total_m = sum(s.num_buckets for s in specs)
-    id_dtype = _composite_id_dtype(total_m)
+    # narrow composite ids: the stable argsort's passes scale with width
+    id_dtype = narrow_ids_dtype(total_m)
 
     reg = get_registry()
     reg.inc("batch.coalesced.calls")
@@ -238,16 +222,9 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
         any fallback warning fires once, not per item). Rejected with
         ``engine="emulate"``.
     """
-    keys_batch = list(keys_batch)
+    keys_batch, values_batch, specs = _resolve_batch(
+        keys_batch, values_batch, spec_or_fn, num_buckets)
     count = len(keys_batch)
-    if values_batch is None:
-        values_batch = [None] * count
-    else:
-        values_batch = list(values_batch)
-        if len(values_batch) != count:
-            raise ValueError(
-                f"got {len(values_batch)} value arrays for a batch of {count} inputs")
-    specs = _resolve_specs(spec_or_fn, num_buckets, count)
 
     reg = get_registry()
     reg.inc("batch.calls", 1, engine=engine)
@@ -278,13 +255,10 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
         # never pooled, so the shared scratch arena is always safe)
         from repro.multisplit.api import multisplit
         ws = workspace if workspace is not None else Workspace(reuse_outputs=False)
-        if engine == "stream":
-            return [multisplit(k, s, values=v, method=method, engine="stream",
-                               workspace=ws, max_workers=max_workers,
-                               backend=backend, **kwargs)
-                    for k, s, v in zip(keys_batch, specs, values_batch)]
+        if engine != "stream":  # stream sizes its shards from chunk_bytes
+            kwargs["shards"] = shards
         return [multisplit(k, s, values=v, method=method, engine=engine,
-                           workspace=ws, shards=shards, max_workers=max_workers,
+                           workspace=ws, max_workers=max_workers,
                            backend=backend, **kwargs)
                 for k, s, v in zip(keys_batch, specs, values_batch)]
     if shards is not None:

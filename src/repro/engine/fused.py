@@ -13,10 +13,11 @@ emulated method, with ``timeline=None``:
 * stable family (``direct``/``warp``/``block``/``sparse_block``/
   ``scan_split``/``recursive_split``/``reduced_bit``) — every one of
   these is a *stable* multisplit, and a stable multisplit's permutation
-  is unique. One pass computes bucket ids, builds the ``m x 1``
-  histogram with a single ``bincount``, scans it, and scatters via the
-  stable permutation (numpy's stable integer argsort is an LSD radix
-  sort — the same algorithm the reduced-bit method emulates).
+  is unique. The fast policy runs them through the shared
+  {local, global, local} pipeline (:func:`repro.engine.sharded.run_pipeline`)
+  as one shard: bucket ids, one histogram, its scan, and one stable
+  gather straight into the output (numpy's stable integer argsort is an
+  LSD radix sort — the same algorithm the reduced-bit method emulates).
 * ``radix_sort`` — a stable sort on the participating key bits.
 * ``randomized`` — replays the identical seeded dart-throwing insertion
   (same RNG consumption sequence), minus all device accounting, so the
@@ -33,10 +34,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.multisplit.api import _pick_auto
 from repro.multisplit.bucketing import BucketSpec, as_bucket_spec
 from repro.multisplit.result import MultisplitResult
 from repro.obs import get_registry
 from repro.simt.config import WARP_WIDTH
+from .backends import narrow_ids_dtype, resolve_backend
 from .workspace import Workspace, out_buffer
 
 __all__ = ["fast_multisplit", "FAST_METHODS", "STABLE_METHODS"]
@@ -54,7 +57,7 @@ _PADDED_METHODS = frozenset({"direct", "warp", "block", "sparse_block"})
 
 def coerce_and_check(keys, values, method: str, m: int):
     """Shared input coercion + method-constraint checks for the result-only
-    engines (fast and sharded), so the API contract stays engine-invariant.
+    engines, so the API contract stays engine-invariant.
     """
     keys = np.ascontiguousarray(keys)
     if keys.ndim != 1:
@@ -82,6 +85,27 @@ def coerce_and_check(keys, values, method: str, m: int):
     return keys, values
 
 
+def resolve_call(engine: str, spec_or_fn, num_buckets, method, keys=None,
+                 strict: bool = False):
+    """The policies' shared prologue: the bucket spec, the ``strict=``
+    battery on a sample of ``keys``, and ``method="auto"`` resolved by
+    bucket count (paper Figure 3). Returns ``(spec, method)``; every
+    policy but ``fast`` runs the stable family only."""
+    spec = as_bucket_spec(spec_or_fn, num_buckets)
+    if strict:
+        from repro.multisplit.validate import validate_source
+        validate_source(spec, keys)
+    method = getattr(method, "value", method)
+    if method == "auto":
+        method = _pick_auto(spec.num_buckets).value
+    if engine != "fast" and method not in STABLE_METHODS:
+        raise ValueError(
+            f"engine={engine!r} handles the stable method family "
+            f"({', '.join(sorted(STABLE_METHODS))}); got {method!r} — "
+            "use engine='fast' for radix_sort/randomized")
+    return spec, method
+
+
 def fast_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None, *,
                     values: np.ndarray | None = None, method: str = "auto",
                     workspace: Workspace | None = None, backend=None,
@@ -91,30 +115,19 @@ def fast_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None
     ``backend`` selects the stable family's histogram/scatter kernels
     (``"numpy"`` default, ``"numba"`` compiled with graceful fallback,
     or a :class:`~repro.engine.backends.KernelBackend` instance); it
-    never changes results. ``"procpool"`` is a sharded-engine executor
-    and is rejected here. ``kwargs`` accepts the emulated methods'
+    never changes results. ``kwargs`` accepts the emulated methods'
     tuning knobs; launch-shape parameters (``warps_per_block``,
     ``items_per_lane``, ``device``) are ignored because they do not
     affect results, while result-affecting ones (``bits``,
     ``relaxation``, ``seed``) are honored.
     """
-    from .backends import resolve_backend
-    spec = as_bucket_spec(spec_or_fn, num_buckets)
-    method = getattr(method, "value", method)
-    if method == "auto":
-        from repro.multisplit.api import _pick_auto
-        method = _pick_auto(spec.num_buckets).value
+    spec, method = resolve_call("fast", spec_or_fn, num_buckets, method)
     if method not in FAST_METHODS:
         raise ValueError(f"unknown fast-engine method {method!r}")
 
     m = spec.num_buckets
     keys, values = coerce_and_check(keys, values, method, m)
     bk = resolve_backend(backend)
-    if bk.executor == "process":
-        raise ValueError(
-            "backend='procpool' executes shard stripes in worker processes "
-            "and only exists under engine='sharded'; use engine='sharded' "
-            "or engine='auto'")
     if method not in STABLE_METHODS and bk.name != "numpy":
         raise ValueError(
             f"backend={bk.name!r} supports the stable method family "
@@ -131,7 +144,11 @@ def fast_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None
     with reg.timer("engine.fast.run_ms", method=method,
                    kv=values is not None).time():
         if method in STABLE_METHODS:
-            return _fused_stable(keys, spec, values, method, workspace, bk)
+            # one in-memory chunk as one shard, ids and outputs pooled
+            return _sharded.run_pipeline(
+                "fast", ((keys, values),), spec, method, bk, workers=1,
+                shards_of=lambda n: (1, n), ws=workspace, out_ws=workspace,
+                alloc_out=_sharded.pooled_outputs(workspace, keys, values))[0]
         if method == "radix_sort":
             return _fused_sort_based(keys, spec, values, workspace,
                                      bits=int(kwargs.get("bits", 32)))
@@ -142,116 +159,11 @@ def fast_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None
             seed=kwargs.get("seed", 0))
 
 
-# ---------------------------------------------------------------------------
-# stable family: one fused label + bincount + scan + scatter pass
-# ---------------------------------------------------------------------------
-
 def _starts(counts: np.ndarray, m: int, workspace: Workspace | None) -> np.ndarray:
     starts = out_buffer(workspace, "starts", m + 1, np.int64)
     starts[0] = 0
     np.cumsum(counts, out=starts[1:])
     return starts
-
-
-def _stable_order(ids: np.ndarray, m: int,
-                  workspace: Workspace | None) -> np.ndarray:
-    # numpy's stable integer argsort is an LSD radix sort whose pass
-    # count scales with the key width; bucket ids fit in 1-2 bytes for
-    # any realistic m, so narrowing them first cuts the sort cost ~5x
-    # without changing the permutation.
-    sort_dtype = None
-    if m <= (1 << 8):
-        sort_dtype = np.uint8
-    elif m <= (1 << 16):
-        sort_dtype = np.uint16
-    if sort_dtype is not None and ids.dtype != sort_dtype:
-        if workspace is not None:
-            narrow = workspace.take("sort_ids", ids.size, sort_dtype)
-            np.copyto(narrow, ids, casting="unsafe")
-        else:
-            narrow = ids.astype(sort_dtype)
-        ids = narrow
-    return np.argsort(ids, kind="stable")
-
-
-def _fused_stable(keys, spec: BucketSpec, values, method: str,
-                  workspace: Workspace | None, bk) -> MultisplitResult:
-    m = spec.num_buckets
-    n = keys.size
-    if bk.name != "numpy":
-        return _fused_stable_backend(keys, spec, values, method, workspace, bk)
-    ids = spec(keys)
-    counts = np.bincount(ids, minlength=m)
-    starts = _starts(counts, m, workspace)
-
-    # already partitioned (single bucket, presorted ids, n <= 1): the
-    # stable permutation is the identity — skip the sort entirely
-    if n <= 1 or m == 1 or int(counts.max()) == n or (ids[1:] >= ids[:-1]).all():
-        out_keys = out_buffer(workspace, "keys", n, keys.dtype)
-        out_keys[:] = keys
-        out_values = None
-        if values is not None:
-            out_values = out_buffer(workspace, "values", n, values.dtype)
-            out_values[:] = values
-    else:
-        order = _stable_order(ids, m, workspace)
-        out_keys = np.take(keys, order,
-                           out=out_buffer(workspace, "keys", n, keys.dtype))
-        out_values = None
-        if values is not None:
-            out_values = np.take(values, order,
-                                 out=out_buffer(workspace, "values", n, values.dtype))
-    return MultisplitResult(
-        keys=out_keys, values=out_values, bucket_starts=starts,
-        method=method, num_buckets=m, timeline=None, stable=True,
-        extra={"engine": "fast", "backend": "numpy"},
-    )
-
-
-def _fused_stable_backend(keys, spec: BucketSpec, values, method: str,
-                          workspace: Workspace | None, bk) -> MultisplitResult:
-    """The monolithic stable pass through a non-default kernel backend.
-
-    The whole input is one "shard": one fused prescan (histogram +
-    monotonicity) and, when not already partitioned, one stable
-    counting scatter whose per-bucket cursor starts at the exclusive
-    scan of the counts. A stable multisplit's permutation is unique, so
-    this is bit-identical to the numpy path's argsort pipeline.
-    """
-    from .backends import narrow_ids_dtype
-    m = spec.num_buckets
-    n = keys.size
-    kv = values is not None
-    ids_dtype = narrow_ids_dtype(m)
-    ids = spec(keys)
-    if workspace is not None:
-        ids_n = workspace.take("sort_ids", n, ids_dtype)
-        np.copyto(ids_n, ids, casting="unsafe")
-    else:
-        ids_n = ids.astype(ids_dtype, copy=False)
-
-    reg = get_registry()
-    compile_ms = bk.warmup(keys.dtype, values.dtype if kv else None, ids_dtype)
-    if reg.enabled and compile_ms:
-        reg.set_gauge("engine.backend.compile_ms",
-                      getattr(bk, "compile_ms", compile_ms), backend=bk.name)
-
-    counts, monotone = bk.prescan(ids_n, m)
-    starts = _starts(counts, m, workspace)
-    out_keys = out_buffer(workspace, "keys", n, keys.dtype)
-    out_values = out_buffer(workspace, "values", n, values.dtype) if kv else None
-    if monotone:  # covers n <= 1, m == 1, and single-bucket inputs
-        out_keys[:] = keys
-        if kv:
-            out_values[:] = values
-    else:
-        bk.scatter(keys, values, ids_n, counts, starts[:-1],
-                   out_keys, out_values, monotone=False, arena=None)
-    return MultisplitResult(
-        keys=out_keys, values=out_values, bucket_starts=starts,
-        method=method, num_buckets=m, timeline=None, stable=True,
-        extra={"engine": "fast", "backend": bk.name},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +196,7 @@ def _fused_sort_based(keys, spec: BucketSpec, values,
 
     # the emulated LSB radix sort orders stably by the low `bits` bits;
     # the masked keys fit in ceil(bits/8) bytes, so sort at that width
-    work_dtype = next(dt for width, dt in ((8, np.uint8), (16, np.uint16),
-                                           (32, np.uint32), (64, np.uint64))
-                      if bits <= width)
+    work_dtype = narrow_ids_dtype(1 << bits)
     work = keys.astype(np.uint64)
     if bits < 64:
         work &= np.uint64((1 << bits) - 1)
@@ -400,3 +310,7 @@ def _fused_randomized(keys, spec: BucketSpec, values, workspace: Workspace | Non
     res.extra["relaxation"] = relaxation
     res.extra["buffer_slots"] = total_slots
     return res
+
+
+# last: repro.engine.sharded imports this module's names at its top
+from . import sharded as _sharded  # noqa: E402

@@ -1,42 +1,22 @@
-"""Streamed out-of-core multisplit: {local, global, local}, applied twice.
+"""Streamed out-of-core multisplit: the stream policy of the one pipeline.
 
-The sharded engine (:mod:`repro.engine.sharded`) proves the paper's
-Section 3 decomposition composes in-core: per-shard histograms, one
-chunk-major exclusive scan of the ``m x P`` count matrix (Eq. 1), and
-per-shard stable counting scatters. Its one structural assumption is
-that the whole input, both outputs, and an ``n``-sized id array fit in
-memory at once. This module removes that assumption by recursing the
-decomposition one level up, the move the extended multisplit study
+The {local, global, local} pipeline (:func:`repro.engine.sharded.run_pipeline`)
+consumes its input as chunks and replays them for the scatter. This
+policy feeds it *super-shards* ("chunks") of ``chunk_bytes`` from an
+array, memmap or chunked source, each split into cache-resident shards,
+so the whole input, both outputs and an ``n``-sized id array never have
+to fit in memory at once — the move the extended multisplit study
 (arXiv 1701.01189) uses to scale the same structure to larger key
-ranges:
-
-1. **local** — the key source is consumed in *super-shards* ("chunks")
-   of a configurable byte budget; each chunk is split into
-   cache-resident shards and prescanned with the existing per-shard
-   kernel backends, exactly as the sharded engine does in-core;
-2. **global** — the per-(chunk, shard) count matrix is composed into a
-   hierarchical exclusive scan: the Eq. 1 scan applied twice, once
-   across chunks (``base[c][b] = sum over earlier chunks' bucket-b
-   totals``) and once across the shards within each chunk. Together
-   with the global bucket starts this yields every shard's private
-   base offset into every bucket — without ever materializing an
-   ``n``-sized intermediate;
-3. **local** — the source is *replayed* and each chunk's shards
-   stable-counting-scatter straight into the output at their
-   precomputed offsets.
+ranges.
 
 Peak memory is ``O(chunk + m * P_total)`` regardless of ``n``: one
 chunk of keys/values, its narrowed bucket ids, and the count matrix.
 (When all chunks' ids fit inside the chunk budget they are kept from
 pass 1 — the "ids cache" — which skips the second bucket-id evaluation
-without changing the bound.)
-
-Because the hierarchical offsets are exactly the flat chunk-major
-Eq. 1 scan over the concatenated shard sequence, and the within-shard
-scatter is stable, the concatenation is *the* unique global stable
-permutation: outputs are **bit-identical** to ``engine="fast"`` /
-``engine="sharded"`` / ``engine="emulate"`` for the whole stable method
-family, for any chunk budget, shard size, worker count, or backend.
+without changing the bound.) Outputs are **bit-identical** to
+``engine="fast"`` / ``engine="sharded"`` / ``engine="emulate"`` for the
+whole stable method family, for any chunk budget, shard size, worker
+count, or backend.
 
 Key sources
 -----------
@@ -68,16 +48,14 @@ from __future__ import annotations
 
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.multisplit.bucketing import as_bucket_spec
 from repro.multisplit.result import MultisplitResult
 from repro.obs import get_registry
-from .backends import narrow_ids_dtype, resolve_backend
-from .fused import STABLE_METHODS, coerce_and_check, _starts
-from .sharded import DEFAULT_SHARD_KEYS, _resolve_workers
+from .backends import resolve_backend
+from .fused import coerce_and_check, resolve_call
+from .sharded import DEFAULT_SHARD_KEYS, _resolve_workers, run_pipeline
 from .workspace import Workspace
 
 __all__ = [
@@ -189,22 +167,26 @@ def _is_chunked_source(obj) -> bool:
 class _ChunkSource:
     """Normalizes the three source kinds behind one two-pass protocol.
 
-    ``passes()`` may be called exactly twice; each call yields
-    ``(key_chunk, value_chunk_or_None)`` pairs. Pass 2 is validated
+    ``passes()`` is called once per pass, twice; each call yields
+    ``(key_chunk, value_chunk_or_None)`` pairs. An array source is
+    sliced afresh on each pass. Pass 2 of a chunked source is validated
     chunk-by-chunk against pass 1's recorded lengths and dtypes, so a
     callable source that does not replay identically fails loudly
     instead of corrupting the scatter.
     """
 
     def __init__(self, keys, values, chunk_bytes: int):
+        # array-likes of scalars (plain lists; generators are NOT this)
+        # behave like the other engines' inputs: one in-memory array
+        if isinstance(keys, (list, tuple)) and not _is_chunked_source(keys):
+            keys = np.asarray(keys)
+        if isinstance(values, (list, tuple)) and not _is_chunked_source(values):
+            values = np.asarray(values)
         self.kv = values is not None
         self.chunk_bytes = chunk_bytes
         self.lens: list[int] = []
         self.key_dtype = None
         self.value_dtype = None
-        self.pass_no = 0
-        self.spooled = False
-        self._spools = None
         if isinstance(keys, np.ndarray):
             if keys.ndim != 1:
                 raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
@@ -216,6 +198,7 @@ class _ChunkSource:
                     f"{keys.shape}")
             self.kind = "array"
             self.key_dtype = keys.dtype
+            self.value_dtype = values.dtype if self.kv else None
         elif callable(keys):
             if self.kv and not callable(values):
                 raise TypeError(
@@ -228,8 +211,7 @@ class _ChunkSource:
                 raise TypeError(
                     "an iterable key source needs an iterable values source "
                     "yielding chunks of matching lengths")
-            self.kind = "iterator"
-            self.spooled = True
+            self.kind = "iterator"  # spooled to disk for the replay
         else:
             raise TypeError(
                 f"keys must be an ndarray, a callable returning chunks, or "
@@ -237,36 +219,16 @@ class _ChunkSource:
         self.keys = keys
         self.values = values
 
-    @classmethod
-    def build(cls, keys, values, chunk_bytes: int) -> "_ChunkSource":
-        # array-likes of scalars (plain lists, generators are NOT this)
-        # behave like the other engines' inputs: one in-memory array
-        if isinstance(keys, (list, tuple)) and not (
-                len(keys) and isinstance(keys[0], np.ndarray)):
-            keys = np.asarray(keys)
-        if values is not None and isinstance(values, (list, tuple)) and not (
-                len(values) and isinstance(values[0], np.ndarray)):
-            values = np.asarray(values)
-        return cls(keys, values, chunk_bytes)
-
-    @property
-    def chunked(self) -> bool:
-        return self.kind != "array"
-
     def _raw_chunks(self):
         if self.kind == "array":
             keys, values = self.keys, self.values
             step = max(1, self.chunk_bytes // max(keys.dtype.itemsize, 1))
             for lo in range(0, keys.size, step):
-                sl = slice(lo, min(lo + step, keys.size))
-                yield keys[sl], values[sl] if self.kv else None
+                yield keys[lo:lo + step], values[lo:lo + step] if self.kv else None
             return
-        if self.kind == "callable":
-            kit = iter(self.keys())
-            vit = iter(self.values()) if self.kv else None
-        else:
-            kit = iter(self.keys)
-            vit = iter(self.values) if self.kv else None
+        replay = self.kind == "callable"
+        kit = iter(self.keys() if replay else self.keys)
+        vit = iter(self.values() if replay else self.values) if self.kv else None
         for kchunk in kit:
             vchunk = None
             if vit is not None:
@@ -310,29 +272,23 @@ class _ChunkSource:
                 raise ValueError(
                     f"chunk {c}: values dtype {vchunk.dtype} does not match "
                     f"the first chunk's dtype {self.value_dtype}")
-        return kchunk, vchunk
+        return (np.ascontiguousarray(kchunk),
+                np.ascontiguousarray(vchunk) if self.kv else None)
 
     def passes(self):
-        self.pass_no += 1
-        if self.pass_no == 1:
-            yield from self._first_pass()
-        elif self.pass_no == 2:
-            yield from self._second_pass()
-        else:  # pragma: no cover - internal misuse
-            raise RuntimeError("a _ChunkSource supports exactly two passes")
+        if self.kind == "array":
+            return self._raw_chunks()
+        # pass 1 records the chunk lengths (a chunkless source fails it)
+        return self._second_pass() if self.lens else self._first_pass()
 
     def _first_pass(self):
         spool_k = spool_v = None
-        if self.spooled:
+        if self.kind == "iterator":
             spool_k = _Spool("keys")
             spool_v = _Spool("values") if self.kv else None
-            self._spools = (spool_k, spool_v)
         try:
             for c, (kchunk, vchunk) in enumerate(self._raw_chunks()):
                 kchunk, vchunk = self._check_chunk(c, kchunk, vchunk)
-                kchunk = np.ascontiguousarray(kchunk)
-                if self.kv:
-                    vchunk = np.ascontiguousarray(vchunk)
                 self.lens.append(kchunk.size)
                 if spool_k is not None and kchunk.size:
                     spool_k.append(kchunk)
@@ -346,22 +302,16 @@ class _ChunkSource:
                 spool_v.abort()
             raise
         if self.key_dtype is None:
-            if self.kind == "array":
-                self.key_dtype = self.keys.dtype
-                if self.kv:
-                    self.value_dtype = self.values.dtype
-            else:
-                raise ValueError(
-                    "chunked key source yielded no chunks — cannot infer a "
-                    "key dtype; pass an (empty) ndarray instead")
+            raise ValueError(
+                "chunked key source yielded no chunks — cannot infer a "
+                "key dtype; pass an (empty) ndarray instead")
         if spool_k is not None:
             self._replay_keys = spool_k.finish(self.key_dtype)
             self._replay_values = (spool_v.finish(self.value_dtype)
                                    if spool_v is not None else None)
-            self._spools = None
 
     def _second_pass(self):
-        if self.spooled:
+        if self.kind == "iterator":
             lo = 0
             for ln in self.lens:
                 sl = slice(lo, lo + ln)
@@ -382,9 +332,8 @@ class _ChunkSource:
                     f"replayed with {kchunk.size} keys, recorded "
                     f"{self.lens[c]} — a callable source must yield "
                     "identical chunks on every invocation")
-            yield (np.ascontiguousarray(kchunk),
-                   np.ascontiguousarray(vchunk) if self.kv else None)
-        if self.kind == "callable" and len(self.lens) and c + 1 < len(self.lens):
+            yield kchunk, vchunk
+        if c + 1 < len(self.lens):  # only a callable source gets here
             raise ValueError(
                 "chunked source changed between passes: replay ended after "
                 f"{c + 1} chunks, recorded {len(self.lens)}")
@@ -426,10 +375,9 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
         Stream outputs are never pooled in ``workspace``.
     max_workers, backend, workspace:
         As in :func:`~repro.engine.sharded_multisplit`: worker threads
-        for the two local phases, the per-shard kernel backend
-        (``backend="procpool"`` runs each chunk through the
-        shared-memory process pool), and the scratch arena recycled
-        across chunks. None of them affect results.
+        for the two local phases, the per-shard kernel backend, and the
+        scratch arena recycled across chunks. None of them affect
+        results.
     strict:
         Run the :func:`~repro.multisplit.validate.validate_spec`
         battery on the spec before streaming. Requires an
@@ -439,24 +387,8 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
     Only the stable method family is supported; the launch-shape
     ``kwargs`` of the emulated engine are accepted and ignored.
     """
-    spec = as_bucket_spec(spec_or_fn, num_buckets)
-    if strict:
-        if _is_chunked_source(keys):
-            raise ValueError(
-                "strict=True needs to sample the keys, but chunked sources "
-                "are one-shot; materialize the keys (ndarray/memmap) or "
-                "drop strict=")
-        from repro.multisplit.validate import validate_spec
-        validate_spec(spec, np.asarray(keys))
-    method = getattr(method, "value", method)
-    if method == "auto":
-        from repro.multisplit.api import _pick_auto
-        method = _pick_auto(spec.num_buckets).value
-    if method not in STABLE_METHODS:
-        raise ValueError(
-            f"engine='stream' handles the stable method family "
-            f"({', '.join(sorted(STABLE_METHODS))}); got {method!r} — "
-            "use engine='fast' for radix_sort/randomized")
+    spec, method = resolve_call("stream", spec_or_fn, num_buckets, method,
+                                keys, strict)
     if not spec.elementwise:
         raise ValueError(
             "engine='stream' evaluates the bucket spec chunk-by-chunk and "
@@ -473,8 +405,7 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
     workers = _resolve_workers(max_workers)
     bk = resolve_backend(backend)
     ws = workspace if workspace is not None else Workspace()
-    source = _ChunkSource.build(keys, values, chunk_bytes)
-    kv = source.kv
+    source = _ChunkSource(keys, values, chunk_bytes)
 
     reg = get_registry()
     reg.inc("engine.stream.calls", 1, method=method)
@@ -484,15 +415,38 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
         reg.set_gauge("engine.stream.workers", workers, method=method)
         reg.set_gauge("engine.stream.chunk_bytes", chunk_bytes, method=method)
         reg.set_gauge("engine.backend.name", 1, backend=bk.name)
-    with reg.timer("engine.stream.run_ms", method=method, kv=kv).time():
-        result = _run_stream(source, spec, method, ws, workspace is None,
-                             chunk_bytes, workers, bk, out, out_values, reg)
+
+    def chunks():
+        for kchunk, vchunk in source.passes():
+            yield coerce_and_check(kchunk, vchunk, method, m)
+
+    def outputs(n):
+        out_keys = _resolve_out(out, "out", n, source.key_dtype)
+        if source.kv:
+            return out_keys, _resolve_out(out_values, "out_values", n,
+                                          source.value_dtype)
+        if out_values is not None:
+            raise ValueError("out_values was given but values is None")
+        return out_keys, None
+
+    with reg.timer("engine.stream.run_ms", method=method, kv=source.kv).time():
+        res, (num_chunks, shards, cached) = run_pipeline(
+            "stream", chunks, spec, method, bk, workers=workers,
+            shards_of=_chunk_shards, ws=ws, out_ws=ws, alloc_out=outputs,
+            ids_budget=chunk_bytes)
+    out_memmap = isinstance(res.keys, np.memmap)
+    res.extra.update(chunks=num_chunks, shards=shards, workers=workers,
+                     chunk_bytes=chunk_bytes, out_memmap=out_memmap)
     if reg.enabled:
-        reg.inc("engine.stream.keys", result.keys.size, method=method)
-        if source.spooled:
-            reg.inc("engine.stream.spool_bytes",
-                    result.keys.size * result.keys.dtype.itemsize)
-    return result
+        reg.inc("engine.stream.keys", res.keys.size, method=method)
+        reg.inc("engine.stream.chunks", num_chunks, method=method)
+        reg.set_gauge("engine.stream.shards", shards, method=method)
+        reg.set_gauge("engine.stream.ids_cached_bytes", cached, method=method)
+        reg.set_gauge("engine.stream.out_memmap", int(out_memmap),
+                      method=method)
+        if source.kind == "iterator":
+            reg.inc("engine.stream.spool_bytes", res.keys.nbytes)
+    return res
 
 
 def _chunk_shards(n_chunk: int) -> tuple[int, int]:
@@ -501,180 +455,6 @@ def _chunk_shards(n_chunk: int) -> tuple[int, int]:
     P_c = -(-n_chunk // DEFAULT_SHARD_KEYS) if n_chunk else 0
     csize = -(-n_chunk // P_c) if P_c else 0
     return P_c, csize
-
-
-def _run_stream(source, spec, method, ws, ws_private, chunk_bytes, workers,
-                bk, out, out_values, reg) -> MultisplitResult:
-    m = spec.num_buckets
-    kv = source.kv
-    ids_dtype = narrow_ids_dtype(m)
-
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    pp_ws = None  # lazily-created procpool staging arena
-    pp_ws_private = False  # release only stand-ins the engine created
-    # per-worker sub-arenas, shared by both passes: spec-eval scratch in
-    # pass 1 (allocation-free eval_into) and gather scratch in pass 2
-    arenas = [ws.subarena(f"stream-worker{w}") for w in range(workers)]
-    try:
-        # ---- pass 1: local prescan over every chunk -------------------
-        # per-chunk records; each is O(P_c * m), never O(n)
-        hists: list[np.ndarray] = []      # (P_c, m) int64 per chunk
-        monos: list[np.ndarray] = []      # (P_c,) bool per chunk
-        firsts: list[np.ndarray] = []     # shard-boundary ids per chunk
-        lasts: list[np.ndarray] = []
-        # ids cache: pass-1 bucket ids kept while their cumulative bytes
-        # fit inside the chunk budget, skipping the pass-2 re-evaluation
-        # without changing the O(chunk + m*P) bound
-        ids_cache: dict[int, np.ndarray] = {}
-        cached_bytes = 0
-
-        def prescan_chunk(c, kchunk, vchunk, check_mono):
-            nonlocal cached_bytes
-            kchunk, vchunk = coerce_and_check(kchunk, vchunk, method, m)
-            n_c = kchunk.size
-            P_c, csize = _chunk_shards(n_c)
-            hist_c = np.zeros((P_c, m), dtype=np.int64)
-            mono_c = np.zeros(P_c, dtype=bool)
-            first_c = np.zeros(P_c, dtype=ids_dtype)
-            last_c = np.zeros(P_c, dtype=ids_dtype)
-            if n_c == 0:
-                return hist_c, mono_c, first_c, last_c
-            ids_nbytes = n_c * np.dtype(ids_dtype).itemsize
-            if cached_bytes + ids_nbytes <= chunk_bytes:
-                ids = ws.take(f"stream.ids.{c}", n_c, ids_dtype)
-                ids_cache[c] = ids
-                cached_bytes += ids_nbytes
-            else:
-                ids = ws.take("stream.ids", n_c, ids_dtype)
-
-            # shared chunk-level "shortcut is dead" latch: once any
-            # worker sees a non-monotone shard the identity-permutation
-            # shortcut can never fire, so the remaining shards drop to
-            # the histogram-only kernel. Racy reads are benign — a
-            # stale False only costs one extra check, and a skip forced
-            # by another worker's True leaves mono False, which is
-            # always the conservative answer (the scatter then sorts
-            # that shard; only a shard that happens to be internally
-            # grouped inside globally-unordered input loses its sort
-            # skip).
-            dead = [not check_mono]
-
-            def stripe(w):
-                arena = arenas[w]
-                for p in range(w, P_c, workers):
-                    s = slice(p * csize, min((p + 1) * csize, n_c))
-                    if s.stop <= s.start:
-                        continue
-                    spec.eval_into(kchunk[s], ids[s], arena)
-                    if dead[0]:
-                        hist_c[p] = bk.hist(ids[s], m)
-                        continue
-                    hist_c[p], mono_c[p] = bk.prescan(ids[s], m)
-                    first_c[p] = ids[s.start]
-                    last_c[p] = ids[s.stop - 1]
-                    if not mono_c[p]:
-                        dead[0] = True
-
-            if pool is None or P_c == 1:
-                stripe(0)
-            else:
-                list(pool.map(stripe, range(workers)))
-            return hist_c, mono_c, first_c, last_c
-
-        # incremental already-partitioned tracking: `alive` holds while
-        # every nonempty shard so far is monotone with non-decreasing
-        # boundary ids (across chunk boundaries too). The sequential
-        # chunk loop makes this a race-free place to adapt pass 1:
-        # once the hypothesis dies, later chunks skip the per-shard
-        # monotonicity checks entirely (see prescan_chunk).
-        alive = True
-        prev_last = None
-        with reg.timer("engine.stream.prescan_ms", method=method).time():
-            for c, (kchunk, vchunk) in enumerate(source.passes()):
-                hist_c, mono_c, first_c, last_c = prescan_chunk(
-                    c, kchunk, vchunk, alive)
-                hists.append(hist_c)
-                monos.append(mono_c)
-                firsts.append(first_c)
-                lasts.append(last_c)
-                if alive:
-                    alive, prev_last = _scan_partitioned(
-                        hist_c, mono_c, first_c, last_c, prev_last)
-
-        num_chunks = len(source.lens)
-        n = int(sum(source.lens))
-        key_dtype = source.key_dtype
-        value_dtype = source.value_dtype
-        total_shards = int(sum(h.shape[0] for h in hists))
-        if reg.enabled:
-            reg.inc("engine.stream.chunks", num_chunks, method=method)
-            reg.set_gauge("engine.stream.shards", total_shards, method=method)
-            reg.set_gauge("engine.stream.ids_cached_bytes", cached_bytes,
-                          method=method)
-
-        # ---- global: hierarchical exclusive scan ----------------------
-        with reg.timer("engine.stream.scan_ms", method=method).time():
-            counts = np.zeros(m, dtype=np.int64)
-            for hist_c in hists:
-                counts += hist_c.sum(axis=0)
-            starts = _starts(counts, m, ws)
-            already = alive
-
-        # ---- outputs ---------------------------------------------------
-        out_keys = _resolve_out(out, "out", n, key_dtype)
-        if kv:
-            out_vals = _resolve_out(out_values, "out_values", n, value_dtype)
-        else:
-            if out_values is not None:
-                raise ValueError("out_values was given but values is None")
-            out_vals = None
-        out_memmap = isinstance(out_keys, np.memmap)
-        if reg.enabled:
-            reg.set_gauge("engine.stream.out_memmap", int(out_memmap),
-                          method=method)
-
-        # ---- pass 2: replay + streamed stable scatters -----------------
-        base = np.zeros(m, dtype=np.int64)  # earlier chunks' bucket totals
-        with reg.timer("engine.stream.scatter_ms", method=method).time():
-            replay = source.passes()
-            if already:
-                lo = 0
-                for kchunk, vchunk in replay:
-                    hi = lo + kchunk.size
-                    out_keys[lo:hi] = kchunk
-                    if kv:
-                        out_vals[lo:hi] = vchunk
-                    lo = hi
-            elif bk.executor == "process":
-                pp_ws, pp_ws_private = _procpool_arena(ws)
-                for c, (kchunk, vchunk) in enumerate(replay):
-                    _scatter_chunk_procpool(
-                        kchunk, vchunk, spec, method, hists[c], base,
-                        starts, out_keys, out_vals, pp_ws, workers, reg)
-                    base += hists[c].sum(axis=0)
-            else:
-                for c, (kchunk, vchunk) in enumerate(replay):
-                    kchunk, vchunk = coerce_and_check(
-                        kchunk, vchunk, method, m)
-                    _scatter_chunk(
-                        kchunk, vchunk, spec, hists[c], monos[c], base,
-                        starts, out_keys, out_vals, ids_cache.get(c), ws,
-                        ids_dtype, pool, workers, arenas, bk)
-                    base += hists[c].sum(axis=0)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-        if pp_ws is not None and (pp_ws_private or ws_private):
-            pp_ws.release_shm()
-
-    return MultisplitResult(
-        keys=out_keys, values=out_vals, bucket_starts=starts,
-        method=method, num_buckets=m, timeline=None, stable=True,
-        extra={"engine": "stream", "backend": bk.name,
-               "chunks": num_chunks, "shards": total_shards,
-               "workers": workers, "chunk_bytes": chunk_bytes,
-               "out_memmap": out_memmap},
-    )
 
 
 def _resolve_out(buf, name: str, n: int, dtype) -> np.ndarray:
@@ -692,106 +472,3 @@ def _resolve_out(buf, name: str, n: int, dtype) -> np.ndarray:
     if not buf.flags.writeable:
         raise ValueError(f"{name} must be writable")
     return buf
-
-
-def _scan_partitioned(hist_c, mono_c, first_c, last_c, prev_last):
-    """One chunk's slice of the global identity-permutation check.
-
-    Mirrors :func:`repro.engine.sharded.already_partitioned` one level
-    up: every nonempty shard monotone, and shard-boundary ids
-    non-decreasing across consecutive nonempty shards — including
-    across chunk boundaries, which is what threading ``prev_last``
-    through the chunk loop checks. Returns ``(still_alive, prev_last)``.
-    """
-    for p in np.flatnonzero(hist_c.sum(axis=1)):
-        if not mono_c[p]:
-            return False, prev_last
-        if prev_last is not None and first_c[p] < prev_last:
-            return False, prev_last
-        prev_last = last_c[p]
-    return True, prev_last
-
-
-def _scatter_chunk(kchunk, vchunk, spec, hist_c, mono_c, base, starts,
-                   out_keys, out_vals, cached_ids, ws, ids_dtype,
-                   pool, workers, arenas, bk) -> None:
-    """One chunk's local postscan: Eq. 1 within the chunk, offset by the
-    global bucket starts plus earlier chunks' bucket totals."""
-    n_c = kchunk.size
-    if n_c == 0:
-        return
-    P_c, csize = _chunk_shards(n_c)
-    m = hist_c.shape[1]
-    # within-chunk exclusive scan along the shard axis (Eq. 1's shard
-    # term); the bucket term is starts (global) + base (chunk level)
-    within = np.zeros_like(hist_c)
-    np.cumsum(hist_c[:-1], axis=0, out=within[1:])
-    offsets = within + base + starts[:m]
-    if cached_ids is None:
-        ids = ws.take("stream.ids", n_c, ids_dtype)
-    else:
-        ids = cached_ids
-    kv = vchunk is not None
-
-    def stripe(w):
-        arena = arenas[w]
-        for p in range(w, P_c, workers):
-            s = slice(p * csize, min((p + 1) * csize, n_c))
-            if s.stop <= s.start:
-                continue
-            if cached_ids is None:
-                spec.eval_into(kchunk[s], ids[s], arena)
-            bk.scatter(kchunk[s], vchunk[s] if kv else None, ids[s],
-                       hist_c[p], offsets[p], out_keys, out_vals,
-                       monotone=bool(mono_c[p]), arena=arena)
-
-    if pool is None or P_c == 1:
-        stripe(0)
-    else:
-        list(pool.map(stripe, range(workers)))
-
-
-def _procpool_arena(ws: Workspace) -> tuple[Workspace, bool]:
-    """The shm staging arena for chunk-wise procpool dispatch.
-
-    ``run_procpool`` pools its segments only when the workspace reuses
-    outputs, so a caller arena with ``reuse_outputs=False`` gets a
-    private stand-in, flagged so the engine releases it (and only it)
-    when the run finishes; a caller sub-arena stays pooled for the
-    caller's next call.
-    """
-    if ws.reuse_outputs:
-        return ws.subarena("stream-procpool"), False
-    return Workspace(), True
-
-
-def _scatter_chunk_procpool(kchunk, vchunk, spec, method, hist_c, base,
-                            starts, out_keys, out_vals, pp_ws, workers,
-                            reg) -> None:
-    """Chunk-wise procpool postscan: run the chunk through the sharded
-    engine's shared-memory process pool, then copy each bucket's run to
-    its global offset.
-
-    Workers cannot scatter straight into the parent's (possibly
-    memmap-backed) output across the process boundary, so the chunk is
-    multisplit locally in shm — re-using the proven procpool rounds
-    wholesale, at the cost of a redundant chunk-local prescan — and the
-    parent relocates the ``m`` contiguous bucket runs.
-    """
-    from .backends.procpool import run_procpool
-
-    n_c = kchunk.size
-    if n_c == 0:
-        return
-    P_c, _csize = _chunk_shards(n_c)
-    res = run_procpool(kchunk, spec, vchunk, method, pp_ws,
-                       P_c, workers, reg)
-    local_starts = res.bucket_starts
-    chunk_counts = hist_c.sum(axis=0)
-    for b in np.flatnonzero(chunk_counts):
-        cb = int(chunk_counts[b])
-        src = int(local_starts[b])
-        dst = int(starts[b] + base[b])
-        out_keys[dst:dst + cb] = res.keys[src:src + cb]
-        if out_vals is not None:
-            out_vals[dst:dst + cb] = res.values[src:src + cb]

@@ -35,36 +35,6 @@ from repro.obs import get_registry
 __all__ = ["Workspace", "out_buffer"]
 
 
-def _release_segment(seg) -> None:
-    """Close + unlink one shm segment, tolerating outstanding views.
-
-    Views handed out by :meth:`Workspace.take_shm` register a buffer
-    export on the segment's memoryview, so ``close()`` raises
-    ``BufferError`` while any is alive. In that case we drop our
-    handles instead of unmapping: the views' exports keep the pages
-    mapped, and the mapping is torn down when the last view is
-    collected. The name is unlinked immediately either way, so nothing
-    leaks past the last reference.
-    """
-    try:
-        seg.close()
-    except BufferError:
-        # live views own the mapping now; neuter the segment object so
-        # its __del__ doesn't retry (and noisily fail) at gc time
-        seg._buf = None
-        seg._mmap = None
-    try:
-        seg.unlink()
-    except FileNotFoundError:  # pragma: no cover - already unlinked
-        pass
-
-
-def _release_all(segments: dict) -> None:
-    for seg, _cap in segments.values():
-        _release_segment(seg)
-    segments.clear()
-
-
 class Workspace:
     """A grow-only arena of reusable numpy scratch buffers.
 
@@ -82,11 +52,6 @@ class Workspace:
         self.reuse_outputs = bool(reuse_outputs)
         self._slots: dict[tuple[str, np.dtype], np.ndarray] = {}
         self._children: dict[str, "Workspace"] = {}
-        # shared-memory slots for the procpool backend: (seg, capacity
-        # in elements). Registered for cleanup at gc via _finalizer and
-        # released explicitly by clear()/release_shm().
-        self._shm: dict[tuple[str, np.dtype], tuple] = {}
-        self._shm_finalizer = None
         # weakref to the parent arena (sub-arenas only): peak tracking
         # charges every allocation to the root so peak_nbytes reflects
         # the whole tree's simultaneous footprint
@@ -124,7 +89,7 @@ class Workspace:
 
     def _note_peak(self) -> None:
         root = self._root()
-        total = root.nbytes + root.shm_nbytes
+        total = root.nbytes
         if total > root._peak_nbytes:
             root._peak_nbytes = total
             reg = get_registry()
@@ -133,7 +98,7 @@ class Workspace:
 
     @property
     def peak_nbytes(self) -> int:
-        """High-water mark of :attr:`nbytes` + :attr:`shm_nbytes`.
+        """High-water mark of :attr:`nbytes`.
 
         Tracked at the root of the arena tree (sub-arena allocations
         charge their root), updated on every allocating miss, and kept
@@ -167,61 +132,6 @@ class Workspace:
             get_registry().inc("workspace.hits", 1, slot=slot)
         return buf[:size]
 
-    def take_shm(self, slot: str, size: int, dtype) -> tuple[np.ndarray, str]:
-        """A length-``size`` *shared-memory* buffer plus its segment name.
-
-        Same grow-only pooling contract as :meth:`take`, but backed by a
-        ``multiprocessing.shared_memory`` segment so worker processes
-        can attach by name (the procpool backend's bulk-data path).
-        Segments are owned by this workspace: pooled across calls,
-        unlinked by :meth:`release_shm`/:meth:`clear` and — as a
-        backstop — when the workspace is garbage collected.
-        """
-        from multiprocessing import shared_memory
-
-        dtype = np.dtype(dtype)
-        key = (slot, dtype)
-        entry = self._shm.get(key)
-        if entry is None or entry[1] < size:
-            if entry is not None:
-                _release_segment(entry[0])
-            cap = max(size, 1)
-            seg = shared_memory.SharedMemory(create=True,
-                                             size=cap * dtype.itemsize)
-            self._shm[key] = (seg, cap)
-            if self._shm_finalizer is None:
-                self._shm_finalizer = weakref.finalize(
-                    self, _release_all, self._shm)
-            self.misses += 1
-            self._note_peak()
-            reg = get_registry()
-            if reg.enabled:
-                reg.inc("workspace.misses", 1, slot=slot)
-                reg.inc("workspace.alloc_bytes", seg.size, slot=slot)
-                reg.set_gauge("workspace.shm_nbytes", self.shm_nbytes)
-        else:
-            seg, _cap = entry
-            self.hits += 1
-            get_registry().inc("workspace.hits", 1, slot=slot)
-        # frombuffer (unlike ndarray(buffer=...)) registers a buffer
-        # export on seg.buf, so releasing the segment while this view is
-        # alive defers the unmap instead of pulling pages out from under
-        # it (see _release_segment)
-        arr = np.frombuffer(seg.buf, dtype=dtype, count=max(size, 1))[:size]
-        return arr, seg.name
-
-    def release_shm(self) -> None:
-        """Unlink every pooled shared-memory segment now."""
-        _release_all(self._shm)
-        for child in self._children.values():
-            child.release_shm()
-
-    @property
-    def shm_nbytes(self) -> int:
-        """Bytes held in shared-memory segments (sub-arenas included)."""
-        own = sum(seg.size for seg, _cap in self._shm.values())
-        return own + sum(c.shm_nbytes for c in self._children.values())
-
     def out(self, slot: str, size: int, dtype) -> np.ndarray:
         """A buffer for a *result* array: pooled only if ``reuse_outputs``."""
         if self.reuse_outputs:
@@ -235,9 +145,7 @@ class Workspace:
         return own + sum(c.nbytes for c in self._children.values())
 
     def clear(self) -> None:
-        """Release every pooled buffer, shm segment, and sub-arena
-        (counters are kept)."""
-        self.release_shm()
+        """Release every pooled buffer and sub-arena (counters are kept)."""
         self._slots.clear()
         self._children.clear()
 

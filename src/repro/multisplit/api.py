@@ -79,8 +79,10 @@ def _pick_engine(keys_or_n, method_value: str, shards, max_workers,
     """``engine="auto"``: dispatch between the result-only engines.
 
     ``keys_or_n`` is the original key source when available (enabling
-    the memmap/chunked-source checks) or a plain element count. The
-    choice accounts for the *configuration*, not just the input size:
+    the memmap/chunked-source checks) or a plain element count.
+    ``backend`` never changes the choice: every backend runs under every
+    engine. The choice accounts for the *configuration*, not just the
+    input size:
 
     * a chunked source (generator/iterable of chunks, chunk-factory
       callable) can only be consumed by the stream engine;
@@ -90,10 +92,6 @@ def _pick_engine(keys_or_n, method_value: str, shards, max_workers,
       ``STREAM_AUTO_MIN_BYTES``, streams (out-of-core inputs must never
       be materialized whole) — provided the spec is elementwise, the
       stream engine's requirement;
-    * a resolved process-pool backend is otherwise a sharded-engine
-      executor, so it forces sharded (backend availability participates
-      here — an unavailable ``"numba"`` request has already degraded to
-      numpy by the time this runs and changes nothing);
     * otherwise the crossover depends on how many workers the sharded
       engine would actually get: ``SHARDED_AUTO_MIN_N`` when worker
       parallelism is available, ``SHARDED_AUTO_MIN_N_SINGLE`` (~4x
@@ -124,8 +122,6 @@ def _pick_engine(keys_or_n, method_value: str, shards, max_workers,
             and (isinstance(keys, np.memmap)
                  or keys.nbytes >= STREAM_AUTO_MIN_BYTES)):
         return "stream"
-    if backend is not None and getattr(backend, "executor", "thread") == "process":
-        return "sharded"
     workers = _resolve_workers(max_workers)
     floor = SHARDED_AUTO_MIN_N if workers > 1 else SHARDED_AUTO_MIN_N_SINGLE
     return "sharded" if n >= floor else "fast"
@@ -191,10 +187,8 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
     backend:
         Kernel backend for the result-only engines — ``"numpy"``
         (default), ``"numba"`` (compiled kernels; degrades to numpy
-        with a one-time warning when numba is absent), ``"procpool"``
-        (sharded shard stripes in a shared-memory process pool — true
-        multi-core scaling, forces the sharded engine under
-        ``"auto"``), ``"auto"`` (numba if available), or a
+        with a one-time warning when numba is absent), ``"auto"``
+        (numba if available), or a
         :class:`~repro.engine.backends.KernelBackend` instance. Every
         backend returns the bit-identical permutation; see
         ``docs/BACKENDS.md``. Rejected with ``engine="emulate"``.
@@ -267,13 +261,8 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
             f"(got engine={requested!r})")
 
     if strict:
-        if _is_chunked_source(keys):
-            raise ValueError(
-                "strict=True needs to sample the keys, but chunked sources "
-                "are one-shot; materialize the keys (ndarray/memmap) or "
-                "drop strict=")
-        from .validate import validate_spec
-        validate_spec(spec, np.asarray(keys))
+        from .validate import validate_source
+        validate_source(spec, keys)
 
     reg = get_registry()
     reg.inc("api.multisplit.calls", 1, engine=engine, method=method.value)

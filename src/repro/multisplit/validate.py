@@ -24,6 +24,7 @@ __all__ = [
     "SpecValidationError",
     "check_multisplit",
     "reference_multisplit",
+    "validate_source",
     "validate_spec",
 ]
 
@@ -57,13 +58,17 @@ def reference_multisplit(keys: np.ndarray, spec: BucketSpec,
     return keys[order], values_out, starts
 
 
-def _narrow_ids_dtype(num_buckets: int) -> np.dtype:
-    # mirrors the engines' id-buffer narrowing (uint8/uint16/uint32)
-    if num_buckets <= (1 << 8):
-        return np.dtype(np.uint8)
-    if num_buckets <= (1 << 16):
-        return np.dtype(np.uint16)
-    return np.dtype(np.uint32)
+def validate_source(spec: BucketSpec, keys) -> None:
+    """``strict=True`` for an engine call: :func:`validate_spec` on a
+    sample of ``keys``. Chunked key sources are rejected: they are
+    one-shot and cannot be sampled without consuming them."""
+    from repro.engine.stream import _is_chunked_source
+    if _is_chunked_source(keys):
+        raise ValueError(
+            "strict=True needs to sample the keys, but chunked sources "
+            "are one-shot; materialize the keys (ndarray/memmap) or "
+            "drop strict=")
+    validate_spec(spec, np.asarray(keys))
 
 
 def validate_spec(spec: BucketSpec, keys: np.ndarray, *,
@@ -127,7 +132,8 @@ def validate_spec(spec: BucketSpec, keys: np.ndarray, *,
                 "the scatter")
 
     # eval_into parity on the narrowed engine dtype, arena and no-arena
-    out = np.empty(sample.size, dtype=_narrow_ids_dtype(m))
+    from repro.engine.backends import narrow_ids_dtype
+    out = np.empty(sample.size, dtype=narrow_ids_dtype(m))
     spec.eval_into(sample, out)
     if not np.array_equal(out, ids):
         raise SpecValidationError(

@@ -10,7 +10,7 @@ models exactly that structure on the emulated SIMT device; this module
 *runs* it, looping :func:`~repro.engine.fast_multisplit` /
 :func:`~repro.engine.sharded_multisplit` as the pass kernel so three
 engine generations of split speed (fused kernels, the sharded
-{local, global, local} decomposition, numba/procpool backends) become
+{local, global, local} decomposition, the numba backend) become
 end-to-end sort speed.
 
 Structure of one call:
@@ -224,10 +224,6 @@ def _stream_radix(keys, values, bits, digit_bits: int, method: str,
                     backend=bk, out=buf_keys[slot],
                     out_values=buf_vals[slot])
             cur_keys, cur_vals = res.keys, res.values
-    if workspace is None:
-        # stream outputs are dedicated buffers, never views into the
-        # arena's shm segments, so procpool staging can unlink eagerly
-        ws.release_shm()
     if identity:
         return cur_keys, cur_vals
     dec = stream_buffer(n, dt)
@@ -277,10 +273,8 @@ def fast_radix_sort(keys: np.ndarray, values: np.ndarray | None = None, *,
         stream).
     backend:
         Kernel backend forwarded to every pass (``"numpy"``,
-        ``"numba"``, ``"procpool"``, ``"auto"``, or a
-        :class:`~repro.engine.backends.KernelBackend` instance). A
-        process-executor backend forces the sharded engine under
-        ``"auto"``, exactly as in :func:`repro.multisplit.multisplit`.
+        ``"numba"``, ``"auto"``, or a
+        :class:`~repro.engine.backends.KernelBackend` instance).
     shards / max_workers:
         Sharded-engine knobs, forwarded to every pass; rejected with
         ``engine="fast"`` (and ``shards`` with ``engine="stream"``,
@@ -376,12 +370,4 @@ def fast_radix_sort(keys: np.ndarray, values: np.ndarray | None = None, *,
                 res = _split_pass(cur_keys, spec, cur_vals, method, eng,
                                   arenas[p & 1], bk, shards, max_workers)
             cur_keys, cur_vals = res.keys, res.values
-    if workspace is None and ws.shm_nbytes:
-        # procpool passes leave the results as views into the arena's
-        # shared-memory segments; our internal workspace dies on return
-        # and unmaps them, so materialize copies and unlink eagerly
-        cur_keys = np.array(cur_keys)
-        if cur_vals is not None:
-            cur_vals = np.array(cur_vals)
-        ws.release_shm()
     return _decode_keys(cur_keys, keys.dtype), cur_vals

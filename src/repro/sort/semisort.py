@@ -271,8 +271,6 @@ def semisort(keys: np.ndarray, values: np.ndarray | None = None, *,
                         codes, digit_bits, eng_kw, ws)
                 extra["collisions"] = collisions
                 extra["hash_bits"] = _hash_bits_for(n)
-            if workspace is None:
-                ws.release_shm()
 
         out_codes = codes[perm]
         boundary = np.empty(n, dtype=bool)

@@ -22,7 +22,6 @@ def backend_cells():
     cells = []
     if available_backends().get("numba"):
         cells.append(("fast", "numba"))
-    cells.append(("sharded", "procpool"))
     return cells
 
 

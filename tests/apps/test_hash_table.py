@@ -10,7 +10,7 @@ from repro.simt import Device, K40C
 
 def make_pairs(n, seed=0):
     rng = np.random.default_rng(seed)
-    keys = rng.choice(np.arange(1, 2**31, dtype=np.uint32), size=n, replace=False) \
+    keys = (rng.choice(2**31 - 1, n, replace=False) + 1).astype(np.uint32) \
         if n < 2**20 else rng.permutation(np.arange(1, n + 1, dtype=np.uint32))
     values = rng.integers(0, 2**32, n, dtype=np.uint32)
     return keys, values

@@ -14,7 +14,7 @@ from repro.engine import (
     check_engine_parity,
     sharded_multisplit,
 )
-from repro.engine.sharded import SHARDED_AUTO_MIN_N
+from repro.engine.sharded import MAX_SHARDS, SHARDED_AUTO_MIN_N
 from repro.multisplit import (
     CustomBuckets,
     DeltaBuckets,
@@ -116,7 +116,7 @@ class TestChunkBoundaries:
     checked), covering every boundary shape cheaply."""
 
     @pytest.mark.parametrize("n", [1, 5, 100, 1010, 4099])
-    @pytest.mark.parametrize("shards", [None, 1, 2, 3, 16, 5000])
+    @pytest.mark.parametrize("shards", [None, 1, 2, 3, 16, MAX_SHARDS])
     def test_shard_count_fuzz(self, n, shards):
         rng = np.random.default_rng(n)
         keys = rng.integers(0, 2**32, n, dtype=np.uint32)
@@ -135,6 +135,16 @@ class TestChunkBoundaries:
         keys = np.arange(16, dtype=np.uint32)
         with pytest.raises(ValueError, match="shards"):
             sharded_multisplit(keys, RangeBuckets(4), shards=0)
+
+    def test_shards_above_cap_rejected(self):
+        # an explicit shards= past MAX_SHARDS would grow the
+        # (shards x m) count matrix without bound
+        keys = np.arange(1 << 16, dtype=np.uint32)
+        with pytest.raises(ValueError, match=f"MAX_SHARDS={MAX_SHARDS}"):
+            sharded_multisplit(keys, RangeBuckets(256), shards=1 << 16)
+        with pytest.raises(ValueError, match=f"MAX_SHARDS={MAX_SHARDS}"):
+            multisplit(keys, RangeBuckets(4), engine="auto",
+                       shards=MAX_SHARDS + 1)
 
 
 class TestDeterminism:
@@ -155,6 +165,136 @@ class TestDeterminism:
                 assert np.array_equal(baseline.keys, res.keys)
                 assert np.array_equal(baseline.values, res.values)
                 assert np.array_equal(baseline.bucket_starts, res.bucket_starts)
+
+    def test_repeated_calls_reuse_worker_threads(self):
+        import threading
+        keys = np.random.default_rng(8).integers(0, 2**32, 100_000,
+                                                 dtype=np.uint32)
+        sharded_multisplit(keys, RangeBuckets(16), method="block",
+                           max_workers=2)
+        threads = threading.active_count()
+        for _ in range(5):
+            sharded_multisplit(keys, RangeBuckets(16), method="block",
+                               max_workers=2)
+            assert threading.active_count() == threads
+
+    def test_concurrent_callers_share_the_pool(self):
+        # more callers and workers than cores, switching threads often:
+        # every sharded call and every batch item must still come back
+        # with the fast engine's bytes
+        import sys
+        import threading
+        rng = np.random.default_rng(12)
+        keys = rng.integers(0, 2**32, 60_000, dtype=np.uint32)
+        ref = multisplit(keys, RangeBuckets(16), method="block", engine="fast")
+        oks, errors = [], []
+
+        def sharded(workers):
+            for _ in range(3):
+                res = sharded_multisplit(keys, RangeBuckets(16), method="block",
+                                         max_workers=workers)
+                oks.append(np.array_equal(res.keys, ref.keys))
+
+        def batch():
+            for res in multisplit_batch([keys] * 12, RangeBuckets(16),
+                                        method="block", max_workers=8):
+                oks.append(np.array_equal(res.keys, ref.keys))
+
+        def guarded(fn, *args):
+            try:
+                fn(*args)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=guarded, args=(sharded, w))
+                       for w in (2, 3, 5, 8)]
+            threads.append(threading.Thread(target=guarded, args=(batch,)))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert len(oks) == 4 * 3 + 12 and all(oks)
+
+    def test_caller_keeps_its_pool_while_another_call_runs(self, monkeypatch):
+        # force the interleaving: after the first caller is handed the
+        # pool, and before it submits, a wider call runs to completion.
+        # The pool the first caller holds must still take its stripes.
+        import repro.engine.sharded as sharded_mod
+        rng = np.random.default_rng(13)
+        keys = rng.integers(0, 2**32, 100_000, dtype=np.uint32)
+        ref = multisplit(keys, RangeBuckets(16), method="block", engine="fast")
+        real = sharded_mod._worker_pool
+        interleaved = []
+
+        def worker_pool(*args):
+            pool = real(*args)
+            if not interleaved:
+                interleaved.append(True)
+                wide = sharded_mod.sharded_multisplit(
+                    keys, RangeBuckets(16), method="block", shards=64,
+                    max_workers=64)
+                assert np.array_equal(wide.keys, ref.keys)
+            return pool
+
+        monkeypatch.setattr(sharded_mod, "_worker_pool", worker_pool)
+        res = sharded_multisplit(keys, RangeBuckets(16), method="block",
+                                 max_workers=2)
+        assert interleaved
+        assert np.array_equal(res.keys, ref.keys)
+
+    def test_worker_threads_capped_at_cpu_count(self):
+        import os
+        import threading
+        keys = np.random.default_rng(14).integers(0, 2**32, 100_000,
+                                                  dtype=np.uint32)
+        ref = multisplit(keys, RangeBuckets(16), method="block", engine="fast")
+        res = sharded_multisplit(keys, RangeBuckets(16), method="block",
+                                 shards=256, max_workers=256)
+        assert np.array_equal(res.keys, ref.keys)
+        pool_threads = [t for t in threading.enumerate()
+                        if t.name.startswith("repro-shard")]
+        assert 1 <= len(pool_threads) <= (os.cpu_count() or 1)
+
+    def test_spec_calling_back_into_the_engine_does_not_deadlock(self):
+        # a stripe on a pool thread that runs another sharded call must
+        # not wait on the pool it occupies; a child process, because a
+        # deadlocked pool would also hang the interpreter's exit
+        import subprocess
+        import sys
+        code = """
+import numpy as np
+from repro.engine import sharded_multisplit
+from repro.multisplit import RangeBuckets, multisplit
+inner = np.arange(1 << 16, dtype=np.uint32)
+
+class Reentrant(RangeBuckets):
+    def eval_into(self, keys, out, arena=None):
+        sharded_multisplit(inner, RangeBuckets(8), method="block", max_workers=4)
+        super().eval_into(keys, out, arena)
+
+keys = np.random.default_rng(15).integers(0, 2**32, 1 << 17, dtype=np.uint32)
+ref = multisplit(keys, RangeBuckets(16), method="block", engine="fast")
+res = sharded_multisplit(keys, Reentrant(16), method="block", shards=8,
+                         max_workers=8)
+assert np.array_equal(res.keys, ref.keys)
+"""
+        import os
+        import repro
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        try:
+            done = subprocess.run([sys.executable, "-c", code], timeout=120,
+                                  capture_output=True, text=True, env=env)
+        except subprocess.TimeoutExpired:
+            pytest.fail("nested sharded call deadlocked")
+        assert done.returncode == 0, done.stderr
 
     def test_workspace_reuse_across_sizes_and_workers(self):
         ws = Workspace()
@@ -230,16 +370,9 @@ class TestEngineWiring:
             SHARDED_AUTO_MIN_N, "block", None, 1) == "fast"
         assert api_mod._pick_engine(
             SHARDED_AUTO_MIN_N_SINGLE, "block", None, 1) == "sharded"
-        # a process-executor backend only exists under sharded, so it
-        # forces the sharded engine at any size
-        pp = get_backend("procpool")
-        assert api_mod._pick_engine(512, "block", None, 1, pp) == "sharded"
         # thread-executor backends do not perturb the size heuristic
         np_bk = get_backend("numpy")
         assert api_mod._pick_engine(512, "block", None, 1, np_bk) == "fast"
-        # non-stable methods always go fast, whatever the backend
-        assert api_mod._pick_engine(
-            SHARDED_AUTO_MIN_N_SINGLE, "radix_sort", None, 4, pp) == "fast"
 
     def test_result_shape_and_extra(self):
         keys = np.random.default_rng(2).integers(0, 2**32, 5000, dtype=np.uint32)
@@ -294,14 +427,15 @@ class TestOversizedShardsCap:
         flat = reg.as_flat()
         assert flat["engine.sharded.oversized_shards"] == 2
 
-    def test_explicit_shards_bypass_cap_silently(self):
+    def test_explicit_shards_past_cap_rejected(self):
         import warnings as _warnings
         from repro.engine.sharded import MAX_SHARDS, _resolve_shards
         with collecting() as reg:
             with _warnings.catch_warnings():
                 _warnings.simplefilter("error")
-                assert _resolve_shards(10**9, MAX_SHARDS + 1, 4) \
-                    == MAX_SHARDS + 1
+                with pytest.raises(ValueError, match="MAX_SHARDS"):
+                    _resolve_shards(10**9, MAX_SHARDS + 1, 4)
+                assert _resolve_shards(10**9, MAX_SHARDS, 4) == MAX_SHARDS
                 # under-cap auto sizing stays silent too
                 assert _resolve_shards(1 << 20, None, 4) <= MAX_SHARDS
         assert "engine.sharded.oversized_shards" not in reg.as_flat()

@@ -172,7 +172,7 @@ class TestChunkInvariance:
         with pytest.raises(ValueError, match="chunk_bytes"):
             stream_multisplit(keys, RangeBuckets(4), chunk_bytes=0)
 
-    @pytest.mark.parametrize("backend", ["numpy", "procpool"])
+    @pytest.mark.parametrize("backend", ["numpy"])
     def test_backend_parity(self, backend):
         rng = np.random.default_rng(23)
         keys = rng.integers(0, 2**32, 150_000, dtype=np.uint32)
@@ -468,7 +468,7 @@ class TestWorkspaceAndObservability:
         assert flat["engine.stream.shards{method=block}"] >= 7
         assert flat["engine.stream.ids_cached_bytes{method=block}"] > 0
         assert flat["engine.backend.calls{backend=numpy,engine=stream}"] == 1
-        for stage in ("prescan", "scan", "scatter"):
+        for stage in ("prescan", "scan", "postscan"):
             key = f"engine.stream.{stage}_ms.count{{method=block}}"
             assert flat[key] == 1, (key, flat)
         assert flat["engine.stream.run_ms.count{kv=True,method=block}"] == 1

@@ -48,55 +48,6 @@ class TestArena:
         assert "Workspace(" in repr(ws)
 
 
-class TestShmArena:
-    def test_take_shm_pools_and_grows(self):
-        ws = Workspace()
-        a, name_a = ws.take_shm("buf", 100, np.uint32)
-        a[:] = 7
-        assert ws.shm_nbytes == 100 * 4
-        b, name_b = ws.take_shm("buf", 64, np.uint32)
-        assert name_b == name_a  # hit: same segment, shorter view
-        assert np.all(b == 7)
-        c, name_c = ws.take_shm("buf", 500, np.uint32)
-        assert name_c != name_a  # grow: old segment replaced + unlinked
-        assert ws.shm_nbytes == 500 * 4
-        del a, b, c
-        ws.release_shm()
-        assert ws.shm_nbytes == 0
-
-    def test_segments_attachable_by_name(self):
-        from multiprocessing import shared_memory
-        ws = Workspace()
-        arr, name = ws.take_shm("buf", 32, np.int64)
-        arr[:] = np.arange(32)
-        seg = shared_memory.SharedMemory(name=name)
-        try:
-            view = np.ndarray(32, dtype=np.int64, buffer=seg.buf)
-            assert np.array_equal(view, np.arange(32))
-        finally:
-            del view
-            seg.close()
-        del arr
-        ws.clear()
-
-    def test_shm_slots_keyed_by_dtype(self):
-        ws = Workspace()
-        _a, name_a = ws.take_shm("buf", 16, np.uint32)
-        _b, name_b = ws.take_shm("buf", 16, np.uint64)
-        assert name_a != name_b
-        del _a, _b
-        ws.clear()
-
-    def test_clear_releases_child_segments(self):
-        ws = Workspace()
-        child = ws.subarena("w0")
-        _arr, _ = child.take_shm("buf", 64, np.uint32)
-        assert ws.shm_nbytes == 64 * 4  # rolls up through children
-        del _arr
-        ws.clear()
-        assert ws.shm_nbytes == 0
-
-
 class TestDtypeChangeRegression:
     """A warmed arena must serve a different-dtype call correctly.
 
@@ -152,25 +103,6 @@ class TestDtypeChangeRegression:
                            engine="fast")
         assert np.array_equal(pooled.keys, plain.keys)
         assert np.array_equal(pooled.bucket_starts, plain.bucket_starts)
-
-    def test_procpool_shm_dtype_change_after_warm(self):
-        rng = np.random.default_rng(11)
-        keys = rng.integers(0, 2**32, 8000, dtype=np.uint32)
-        spec = RangeBuckets(8)
-        ws = Workspace()
-        v32 = rng.integers(0, 2**32, 8000, dtype=np.uint32)
-        multisplit(keys, spec, values=v32, method="block", engine="sharded",
-                   backend="procpool", max_workers=2, workspace=ws)
-        v64 = rng.integers(0, 2**32, 8000).astype(np.uint64)
-        pooled = multisplit(keys, spec, values=v64, method="block",
-                            engine="sharded", backend="procpool",
-                            max_workers=2, workspace=ws)
-        plain = multisplit(keys, spec, values=v64, method="block",
-                           engine="fast")
-        assert np.array_equal(pooled.keys, plain.keys)
-        assert np.array_equal(pooled.values, plain.values)
-        ws.clear()
-        assert ws.shm_nbytes == 0
 
 
 class TestFastEngineReuse:

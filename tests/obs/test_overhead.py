@@ -31,12 +31,17 @@ def hook_sequence():
     if reg.enabled:
         reg.inc("api.multisplit.keys", N, engine="fast", method="block")
     reg.inc("engine.fast.calls", 1, method="block")
+    reg.inc("engine.backend.calls", 1, backend="numpy", engine="fast")
     if reg.enabled:
         reg.inc("engine.fast.keys", N, method="block")
         reg.inc("engine.fast.buckets", M, method="block")
     # dispatch timer context
     with reg.timer("engine.fast.run_ms", method="block", kv=False).time():
         pass
+    # the pipeline's stage timers
+    for stage in ("prescan", "scan", "postscan"):
+        with reg.timer(f"engine.fast.{stage}_ms", method="block").time():
+            pass
     # workspace take() hook per slot — 12 is above any real slot count
     for slot in range(12):
         reg.inc("workspace.hits", 1, slot=slot)

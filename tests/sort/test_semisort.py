@@ -142,12 +142,6 @@ class TestDeterminismAndEngines:
         res = semisort(keys, values, engine=engine, **kw)
         assert_grouped(res, keys, values)
 
-    def test_procpool_backend(self):
-        keys = hot_and_tail(20_000, seed=9)
-        res = semisort(keys, engine="sharded", backend="procpool",
-                       shards=4, max_workers=2)
-        assert_grouped(res, keys)
-
     @pytest.mark.skipif(not available_backends().get("numba"),
                         reason="numba not installed")
     def test_numba_backend(self):
