@@ -1,12 +1,13 @@
-"""Batched multisplit dispatch over a shared workspace / thread pool.
+"""Batched multisplit dispatch over a shared workspace and worker pool.
 
 Serving-style workloads (ROADMAP's north star) rarely issue one giant
 multisplit; they issue *many independent ones* — per shard, per query,
-per SSSP window. ``multisplit_batch`` runs a whole batch through the
-fast engine with per-thread scratch reuse, fanning out across a thread
-pool when the batch is large enough to amortize it (numpy releases the
-GIL in the sort/gather kernels that dominate the fused fast path, so
-threads genuinely overlap).
+per SSSP window. ``multisplit_batch`` runs a whole batch through
+:func:`~repro.multisplit.multisplit` with scratch reuse, striping the
+fast engine's items over the engines' one process-wide worker pool
+when the batch is large enough to amortize it (numpy releases the GIL
+in the sort/gather kernels that dominate the fast path, so threads
+genuinely overlap).
 
 Results in a batch must all outlive the call, so output buffers are
 never pooled here; a caller-provided :class:`Workspace` must therefore
@@ -15,14 +16,12 @@ be created with ``reuse_outputs=False`` (scratch-only pooling).
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from repro.multisplit.bucketing import as_bucket_spec
 from repro.multisplit.result import MultisplitResult
 from repro.obs import get_registry
+from .sharded import fan_out, pool_width
 from .workspace import Workspace
 
 __all__ = ["multisplit_batch", "coalesced_multisplit_batch"]
@@ -69,8 +68,8 @@ def coalesced_multisplit_batch(keys_batch, spec_or_fn,
     bit-identical to per-item :func:`fast_multisplit` calls, while the
     histogram/scan/scatter cost is paid once for the whole batch.
 
-    Constraints (``ValueError`` when unmet — callers fall back to
-    :func:`multisplit_batch`):
+    Constraints (``ValueError`` when unmet — check them up front and
+    send other batches to :func:`multisplit_batch`):
 
     * every item's resolved method must be in the stable family (the
       bit-identical guarantee is a stable-family property);
@@ -182,6 +181,9 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
                      backend=None, **kwargs) -> list[MultisplitResult]:
     """Run many independent multisplits; returns results in batch order.
 
+    Every item is one :func:`~repro.multisplit.multisplit` call, so the
+    engine and knob checks are that function's.
+
     Parameters
     ----------
     keys_batch:
@@ -193,35 +195,38 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
         Optional sequence aligned with ``keys_batch``; entries may be
         ``None`` for key-only items.
     engine:
-        ``"fast"`` (default: fused result-only kernels, thread-pool
-        fan-out across *items* for large batches), ``"sharded"``
-        (items sequential, each call shard-parallel *inside* — the
-        right shape for a few huge items), ``"stream"`` (items
-        sequential through the out-of-core streamed engine; items may
-        be memmaps or chunked sources and per-item ``chunk_bytes=`` is
-        forwarded), ``"auto"`` (per-item choice among the result-only
-        engines by item kind/size), or ``"emulate"`` (sequential, full
-        timelines).
+        ``"fast"`` (default: fused result-only kernels, items striped
+        over the engines' shared worker pool for large batches),
+        ``"sharded"`` (items sequential, each call shard-parallel
+        *inside* — the right shape for a few huge items), ``"stream"``
+        (items sequential through the out-of-core streamed engine;
+        items may be memmaps or chunked sources and per-item
+        ``chunk_bytes=`` is forwarded), ``"auto"`` (per-item choice
+        among the result-only engines by item kind/size), or
+        ``"emulate"`` (sequential, full timelines).
     workspace:
         Optional scratch arena for the result-only engines; must have
         ``reuse_outputs=False`` because every result in the batch must
-        survive the call. On the fast engine's parallel path it seeds
-        one pool thread's arena (the remaining threads build their
-        own); sequential paths use it for every item. Ignored with
-        ``engine="emulate"``.
+        survive the call. On the fast engine's parallel path the
+        calling thread's stripe uses it and every other stripe a
+        sub-arena of it; sequential paths use it for every item.
+        Ignored with ``engine="emulate"``.
     max_workers:
-        Thread-pool width; ``0`` or ``1`` forces sequential execution.
-        With ``engine="sharded"``/``"auto"`` this caps the *per-call*
-        worker threads instead (items already run sequentially).
+        With ``engine="fast"``, caps the stripe count (default: the
+        shared pool's width, one thread per CPU); ``0`` or ``1`` forces
+        sequential execution. With ``engine="sharded"``/``"stream"``/
+        ``"auto"`` it is forwarded to every call as the per-call worker
+        cap (items already run sequentially).
     shards:
-        Shard count forwarded to ``engine="sharded"``/``"auto"`` calls.
+        Shard count forwarded to every call (``engine="sharded"`` or
+        ``"auto"`` only, as for :func:`~repro.multisplit.multisplit`).
     backend:
-        Kernel backend forwarded to every result-only call (name,
-        ``"auto"``, or instance — see :mod:`repro.engine.backends`).
-        Resolved once here so per-item calls share the singleton (and
-        any fallback warning fires once, not per item). Rejected with
+        Kernel backend forwarded to every call (name, ``"auto"``, or
+        instance — see :mod:`repro.engine.backends`). Rejected with
         ``engine="emulate"``.
     """
+    from repro.multisplit.api import multisplit
+
     keys_batch, values_batch, specs = _resolve_batch(
         keys_batch, values_batch, spec_or_fn, num_buckets)
     count = len(keys_batch)
@@ -230,102 +235,44 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
     reg.inc("batch.calls", 1, engine=engine)
     reg.inc("batch.items", count, engine=engine)
 
-    if engine == "emulate":
-        if backend is not None:
+    ws = None  # the emulator's padding arrays are not pooled here
+    if engine != "emulate":
+        if workspace is not None and workspace.reuse_outputs:
             raise ValueError(
-                "backend selects the result-only engines' kernels; pass it "
-                "with engine='fast', 'sharded', or 'auto'")
-        from repro.multisplit.api import multisplit
-        return [multisplit(k, s, values=v, method=method, device=device, **kwargs)
-                for k, s, v in zip(keys_batch, specs, values_batch)]
-    if engine not in ("fast", "sharded", "stream", "auto"):
-        raise ValueError(
-            f"engine must be 'fast', 'sharded', 'stream', 'auto', or "
-            f"'emulate', got {engine!r}")
-    if backend is not None:
-        from .backends import resolve_backend
-        backend = resolve_backend(backend)
-    if workspace is not None and workspace.reuse_outputs:
-        raise ValueError(
-            "multisplit_batch needs a Workspace(reuse_outputs=False): batched "
-            "results must all outlive the call, so outputs cannot be pooled")
+                "multisplit_batch needs a Workspace(reuse_outputs=False): "
+                "batched results must all outlive the call, so outputs "
+                "cannot be pooled")
+        ws = workspace if workspace is not None else Workspace(reuse_outputs=False)
     if engine in ("sharded", "stream", "auto"):
-        # items run sequentially; each call parallelizes internally over
-        # its shards, so the two pools never nest (stream results are
-        # never pooled, so the shared scratch arena is always safe)
-        from repro.multisplit.api import multisplit
-        ws = workspace if workspace is not None else Workspace(reuse_outputs=False)
-        if engine != "stream":  # stream sizes its shards from chunk_bytes
-            kwargs["shards"] = shards
-        return [multisplit(k, s, values=v, method=method, engine=engine,
-                           workspace=ws, max_workers=max_workers,
-                           backend=backend, **kwargs)
-                for k, s, v in zip(keys_batch, specs, values_batch)]
-    if shards is not None:
-        raise ValueError(
-            "shards is a sharded-engine knob; pass engine='sharded' or "
-            "engine='auto'")
+        # items run sequentially; each call parallelizes internally
+        kwargs["max_workers"] = max_workers
 
-    from .fused import fast_multisplit
+    stripes = 1
+    if engine == "fast":
+        total_keys = sum(np.asarray(k).size for k in keys_batch)
+        if count >= _MIN_PARALLEL_ITEMS and total_keys >= _MIN_PARALLEL_KEYS:
+            stripes = min(pool_width(), count)
+            if max_workers is not None:
+                stripes = max(1, min(stripes, max_workers))
+        if reg.enabled:
+            reg.inc("batch.keys", total_keys, engine=engine)
+            reg.set_gauge("batch.fan_out", count)
+            reg.set_gauge("batch.parallel", int(stripes > 1))
+            reg.gauge("batch.max_concurrency").record_max(stripes)
 
-    # enabled-mode accounting shared by the pool threads: per-item
-    # latency plus the executing-item high-water mark (queue depth)
-    if reg.enabled:
-        item_timer = reg.timer("batch.item_ms")
-        depth_gauge = reg.gauge("batch.max_concurrency")
-        depth_lock = threading.Lock()
-        in_flight = [0]
+    # stripe w runs items w, w + stripes, ... like run_pipeline's shards:
+    # stripe 0 on the calling thread with the caller's arena
+    arenas = [ws] + [ws.subarena(f"batch-stripe{w}") for w in range(1, stripes)]
+    item_timer = reg.timer("batch.item_ms")
+    results = [None] * count
 
-        def run_one(item, ws: Workspace):
-            k, s, v = item
-            with depth_lock:
-                in_flight[0] += 1
-                depth_gauge.record_max(in_flight[0])
-            try:
-                with item_timer.time():
-                    return fast_multisplit(k, s, values=v, method=method,
-                                           workspace=ws, backend=backend,
-                                           **kwargs)
-            finally:
-                with depth_lock:
-                    in_flight[0] -= 1
-    else:
-        def run_one(item, ws: Workspace):
-            k, s, v = item
-            return fast_multisplit(k, s, values=v, method=method, workspace=ws,
-                                   backend=backend, **kwargs)
+    def stripe(w):
+        for i in range(w, count, stripes):
+            with item_timer.time():
+                results[i] = multisplit(
+                    keys_batch[i], specs[i], values=values_batch[i],
+                    method=method, engine=engine, workspace=arenas[w],
+                    device=device, shards=shards, backend=backend, **kwargs)
 
-    items = list(zip(keys_batch, specs, values_batch))
-    total_keys = sum(np.asarray(k).size for k in keys_batch)
-    parallel = (count >= _MIN_PARALLEL_ITEMS
-                and total_keys >= _MIN_PARALLEL_KEYS
-                and (max_workers is None or max_workers > 1))
-    if reg.enabled:
-        reg.inc("batch.keys", total_keys, engine=engine)
-        reg.set_gauge("batch.fan_out", count)
-        reg.set_gauge("batch.parallel", int(parallel))
-    if not parallel:
-        ws = workspace if workspace is not None else Workspace(reuse_outputs=False)
-        return [run_one(item, ws) for item in items]
-
-    # per-thread scratch arenas; numpy's sort/take release the GIL, so the
-    # pool overlaps the dominant kernels of independent items. A
-    # caller-provided workspace seeds the first thread that asks (its
-    # warmed slots keep paying off); the rest build their own.
-    local = threading.local()
-    seed_lock = threading.Lock()
-    seed = [workspace]
-
-    def run_threaded(item):
-        ws = getattr(local, "ws", None)
-        if ws is None:
-            with seed_lock:
-                ws = seed[0]
-                seed[0] = None
-            if ws is None:
-                ws = Workspace(reuse_outputs=False)
-            local.ws = ws
-        return run_one(item, ws)
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(run_threaded, items))
+    fan_out(stripe, stripes)
+    return results

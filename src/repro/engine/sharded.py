@@ -135,6 +135,11 @@ def _mark_pool_thread() -> None:
     _pool_thread.active = True
 
 
+def pool_width() -> int:
+    """Threads in the shared pool: one per CPU."""
+    return os.cpu_count() or 1
+
+
 def _worker_pool() -> ThreadPoolExecutor:
     """The process-wide pool: one thread per CPU, all started on first
     use. It is never replaced or grown, so a pool handed to one caller
@@ -143,7 +148,7 @@ def _worker_pool() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            size = os.cpu_count() or 1
+            size = pool_width()
             pool = ThreadPoolExecutor(size, thread_name_prefix="repro-shard",
                                       initializer=_mark_pool_thread)
             started = threading.Barrier(size + 1)

@@ -20,12 +20,13 @@ Arrays obtained from a workspace (including result arrays of
 pooled storage**: the next call that reuses the same workspace will
 overwrite them. Callers that need a result to outlive the next call
 must ``.copy()`` it or run without a workspace. A workspace is not
-thread-safe; use one per thread (``multisplit_batch`` does this for
-its thread-pool fan-out).
+thread-safe; use one per thread (the sharded engine and
+``multisplit_batch`` hand each stripe of their fan-out a sub-arena).
 """
 
 from __future__ import annotations
 
+import threading
 import weakref
 
 import numpy as np
@@ -56,7 +57,13 @@ class Workspace:
         # charges every allocation to the root so peak_nbytes reflects
         # the whole tree's simultaneous footprint
         self._parent = None
+        # bytes in this arena's own slots; the root also keeps the
+        # tree's running total and high-water mark, under a lock because
+        # sibling sub-arenas allocate on different threads
+        self._own_nbytes = 0
+        self._tree_nbytes = 0
         self._peak_nbytes = 0
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
@@ -83,15 +90,27 @@ class Workspace:
         while ws._parent is not None:
             parent = ws._parent()
             if parent is None:
+                ws._detach()
                 break
             ws = parent
         return ws
 
-    def _note_peak(self) -> None:
+    def _detach(self) -> None:
+        # this sub-arena becomes the root of its own tree
+        self._parent = None
+        self._tree_nbytes = self.nbytes
+
+    def _charge(self, delta: int) -> None:
+        """Add ``delta`` bytes to the tree total kept at the root and
+        raise the high-water mark when the total passes it."""
         root = self._root()
-        total = root.nbytes
-        if total > root._peak_nbytes:
-            root._peak_nbytes = total
+        with root._lock:
+            root._tree_nbytes += delta
+            total = root._tree_nbytes
+            grew = total > root._peak_nbytes
+            if grew:
+                root._peak_nbytes = total
+        if grew:
             reg = get_registry()
             if reg.enabled:
                 reg.set_gauge("workspace.peak_nbytes", total)
@@ -118,10 +137,12 @@ class Workspace:
         key = (slot, dtype)
         buf = self._slots.get(key)
         if buf is None or buf.size < size:
+            old = 0 if buf is None else buf.nbytes
             buf = np.empty(max(size, 1), dtype=dtype)
             self._slots[key] = buf
+            self._own_nbytes += buf.nbytes - old
             self.misses += 1
-            self._note_peak()
+            self._charge(buf.nbytes - old)
             reg = get_registry()
             if reg.enabled:
                 reg.inc("workspace.misses", 1, slot=slot)
@@ -141,13 +162,18 @@ class Workspace:
     @property
     def nbytes(self) -> int:
         """Total bytes currently held by the arena (sub-arenas included)."""
-        own = sum(b.nbytes for b in self._slots.values())
-        return own + sum(c.nbytes for c in self._children.values())
+        # list(): other threads may carve sub-arenas meanwhile
+        return self._own_nbytes + sum(c.nbytes
+                                      for c in list(self._children.values()))
 
     def clear(self) -> None:
         """Release every pooled buffer and sub-arena (counters are kept)."""
+        self._charge(-self.nbytes)
+        for child in list(self._children.values()):
+            child._detach()
         self._slots.clear()
         self._children.clear()
+        self._own_nbytes = 0
 
     def publish(self, registry=None, **labels) -> None:
         """Export cumulative hits/misses/bytes as registry gauges."""

@@ -22,7 +22,7 @@ Several execution engines share this entry point:
   ``shards=`` is given) for stable methods, fast otherwise.
 
 ``multisplit_batch`` runs many independent multisplits through one
-dispatcher (shared specs, pooled scratch, thread-pool fan-out).
+dispatcher (shared specs, pooled scratch, fan-out on the engines' pool).
 """
 
 from __future__ import annotations
@@ -350,8 +350,8 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None,
                      **kwargs) -> list[MultisplitResult]:
     """Run many independent multisplits through one dispatcher.
 
-    Defaults to ``engine="fast"`` with pooled per-thread scratch and
-    thread-pool fan-out for large batches; see
+    Defaults to ``engine="fast"`` with pooled scratch and, for large
+    batches, items striped over the engines' shared worker pool; see
     :func:`repro.engine.multisplit_batch` for the full parameter list.
     """
     from repro.engine import multisplit_batch as _batch

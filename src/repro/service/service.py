@@ -5,11 +5,13 @@ level up: per-request overhead (executor handoff, scratch allocation,
 event-loop wakeups) is the "kernel launch" of a serving stack, and the
 way to amortize it is to batch. Concurrent small multisplit requests
 are therefore coalesced (see :mod:`repro.service.coalescer`) into
-single :func:`~repro.engine.multisplit_batch` dispatches executed on a
-thread pool whose workers each own a child
-:class:`~repro.engine.Workspace` arena — scratch stays warm across
+single dispatches executed on a thread pool whose workers each own a
+child :class:`~repro.engine.Workspace` arena — scratch stays warm across
 requests, results are always freshly allocated (``reuse_outputs=False``)
-so they safely outlive the pool.
+so they safely outlive the pool. A window of several stable-method
+requests runs as one fused composite-bucket pass
+(:func:`~repro.engine.coalesced_multisplit_batch`); any other window
+goes through :func:`~repro.engine.multisplit_batch`.
 
 Admission control keeps the service stable under overload: at most
 ``max_queue`` requests may be admitted-but-incomplete; beyond that,
@@ -45,8 +47,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.engine import (Workspace, coalesced_multisplit_batch,
-                          multisplit_batch)
+from repro.engine import (STABLE_METHODS, Workspace,
+                          coalesced_multisplit_batch, multisplit_batch)
 from repro.multisplit.api import Method, multisplit
 from repro.multisplit.bucketing import as_bucket_spec
 from repro.multisplit.validate import SpecValidationError, validate_spec
@@ -259,29 +261,24 @@ class ReproService:
         cfg = self.config
         ws = self._worker_ws()
         method = key[1]
-        if (len(items) > 1 and cfg.backend is None
-                and cfg.engine in ("fast", "auto")):
-            # a co-batched window is exactly the shape the fused
-            # composite-bucket dispatch amortizes; ineligible batches
-            # (non-stable method, mixed key dtypes) fall through to the
-            # per-item path below
-            try:
+        keys_batch = [it.keys for it in items]
+        specs = [it.spec for it in items]
+        values_batch = [it.values for it in items]
+        # a co-batched window is exactly the shape the fused
+        # composite-bucket dispatch amortizes; the batch key already
+        # gives every item one method and one keys dtype
+        fused = (len(items) > 1 and cfg.engine in ("fast", "auto")
+                 and (method == "auto" or method in STABLE_METHODS))
+        try:
+            if fused:
                 results = coalesced_multisplit_batch(
-                    [it.keys for it in items],
-                    [it.spec for it in items],
-                    values_batch=[it.values for it in items],
+                    keys_batch, specs, values_batch=values_batch,
                     method=method, workspace=ws)
                 self._c_fused.inc()
-                return [("ok", r) for r in results]
-            except Exception:  # noqa: BLE001 — per-item path assigns blame
-                pass
-        try:
-            results = multisplit_batch(
-                [it.keys for it in items],
-                [it.spec for it in items],
-                values_batch=[it.values for it in items],
-                method=method, engine=cfg.engine, workspace=ws,
-                max_workers=cfg.batch_max_workers, backend=cfg.backend)
+            else:
+                results = multisplit_batch(
+                    keys_batch, specs, values_batch=values_batch,
+                    method=method, engine=cfg.engine, workspace=ws)
             return [("ok", r) for r in results]
         except Exception:
             # a poison item must not fail its co-batched neighbours:
@@ -292,7 +289,7 @@ class ReproService:
                 try:
                     res = multisplit(
                         it.keys, it.spec, values=it.values, method=method,
-                        engine=cfg.engine, workspace=ws, backend=cfg.backend)
+                        engine=cfg.engine, workspace=ws)
                     out.append(("ok", res))
                 except Exception as exc:  # noqa: BLE001 — crossed to client
                     out.append(("err", _client_error(exc)))
@@ -349,10 +346,8 @@ class ReproService:
 
     def _run_sort(self, keys, values):
         from repro.sort import fast_radix_sort
-        cfg = self.config
-        ws = self._worker_ws()
-        return fast_radix_sort(keys, values, engine=cfg.engine,
-                               backend=cfg.backend, workspace=ws)
+        return fast_radix_sort(keys, values, engine=self.config.engine,
+                               workspace=self._worker_ws())
 
     async def sssp(self, graph, source: int, *, algorithm: str = "delta_stepping",
                    delta: float | None = None):

@@ -1,5 +1,8 @@
 """Batched dispatch: ordering, shared/per-item specs, engines, fan-out."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,40 @@ class TestBatch:
         seq = multisplit_batch(batch, RangeBuckets(16), max_workers=1)
         for a, b in zip(seq, results):
             assert np.array_equal(a.keys, b.keys)
+
+    def test_fan_out_runs_on_the_shared_pool(self):
+        # a fanned-out fast batch runs its items on the calling thread
+        # and the engines' one worker pool, not on a private executor
+        batch = make_batch(8, seed=8, lo=40_000, hi=70_000)
+        names = set()
+
+        def top_bits(keys):
+            names.add(threading.current_thread().name)
+            return keys >> 28
+
+        results = multisplit_batch(batch, top_bits, 16)
+        caller = threading.current_thread().name
+        assert names, "spec never evaluated"
+        assert all(n == caller or n.startswith("repro-shard") for n in names), names
+        if (os.cpu_count() or 1) > 1:
+            assert any(n.startswith("repro-shard") for n in names), names
+        seq = multisplit_batch(batch, top_bits, 16, max_workers=1)
+        for a, b in zip(seq, results):
+            assert np.array_equal(a.keys, b.keys)
+            assert np.array_equal(a.bucket_starts, b.bucket_starts)
+
+    def test_knobs_rejected_like_single_calls(self):
+        # every item is a multisplit() call, so a knob the engine does
+        # not take raises the same error in a batch as in one call
+        batch = make_batch(2, seed=9)
+        for kw in ({"engine": "stream", "shards": 4},
+                   {"engine": "fast", "shards": 2},
+                   {"engine": "emulate", "backend": "numpy"}):
+            with pytest.raises(ValueError) as single:
+                multisplit(batch[0], RangeBuckets(4), **kw)
+            with pytest.raises(ValueError) as batched:
+                multisplit_batch(batch, RangeBuckets(4), **kw)
+            assert str(batched.value) == str(single.value)
 
     def test_mismatched_lengths_rejected(self):
         batch = make_batch(3, seed=6)

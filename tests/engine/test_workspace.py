@@ -1,5 +1,8 @@
 """Workspace arena behavior: pooling, growth, ownership, emulated reuse."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,53 @@ class TestArena:
         ws.clear()
         assert ws.nbytes == 0
         assert "Workspace(" in repr(ws)
+
+
+    def test_tree_bytes_and_peak(self):
+        ws = Workspace()
+        ws.take("x", 100, np.uint8)
+        child = ws.subarena("c")
+        child.take("y", 50, np.uint8)
+        child.take("y", 80, np.uint8)  # grows: the old buffer is dropped
+        assert (child.nbytes, ws.nbytes) == (80, 180)
+        assert ws.peak_nbytes == child.peak_nbytes == 180
+        ws.clear()
+        assert ws.nbytes == 0 and ws.peak_nbytes == 180
+        ws.take("x", 10, np.uint8)
+        assert ws.nbytes == 10 and ws.peak_nbytes == 180
+        # a sub-arena used after its parent's clear is a root of its own
+        child.take("z", 5, np.uint8)
+        assert child.nbytes == child.peak_nbytes == 85
+        assert ws.nbytes == 10
+
+    def test_sibling_subarenas_allocate_concurrently(self):
+        # the root's byte total and peak are updated on every miss while
+        # a sibling sub-arena allocates on another thread
+        root = Workspace(reuse_outputs=False)
+        arenas = [root.subarena(f"worker{t}") for t in range(2)]
+        errors = []
+
+        def fill(ws):
+            try:
+                for i in range(20_000):
+                    ws.take(f"slot{i}", 1, np.uint8)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(ws,))
+                       for ws in arenas]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert root.nbytes == root.peak_nbytes == 2 * 20_000
 
 
 class TestDtypeChangeRegression:
