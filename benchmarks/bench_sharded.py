@@ -8,14 +8,15 @@ at the repo root:
   :class:`Workspace` (the PR-2 engine; one global stable argsort plus
   fancy-indexed gathers over the whole 4M-key array)
 * ``sharded_w{1,2,4}_ms`` — engine="sharded" on warmed workspaces with
-  ``max_workers`` in {1, 2, 4}: per-shard 2^15-key histograms, one
-  chunk-major exclusive scan of the m x P count matrix (paper Eq. 1),
-  then per-shard stable counting scatters through contiguous slice
-  copies into the precomputed global offsets
+  ``max_workers`` in {1, 2, 4}: per-shard histograms of
+  ``DEFAULT_SHARD_KEYS`` (2^16) keys, one chunk-major exclusive scan of
+  the m x P count matrix (paper Eq. 1), then per-shard stable counting
+  scatters through contiguous slice copies into the precomputed global
+  offsets
 
 The headline claim is *architectural*, not thread-parallel: the
 {local, global, local} decomposition keeps each shard's argsort and
-scatter L2-resident and replaces the global fancy gather with
+scatter on a cache-sized block and replaces the global fancy gather with
 sequential slice copies, so ``sharded_w1`` already beats ``fast`` and
 worker threads stack on top on multicore hosts (numpy's sort/take
 release the GIL). The gate therefore asserts the *single-worker*
@@ -25,25 +26,51 @@ records how threads scale wherever the bench runs.
 Every configuration also cross-checks bit-identity against the fast
 engine (itself emulate-parity gated) before any timing is trusted.
 
-Run:  PYTHONPATH=src python benchmarks/bench_sharded.py
+``--sweep`` instead runs the shard-size sweep that ``DEFAULT_SHARD_KEYS``
+comes from (:func:`sweep`) and writes ``BENCH_shard_sweep.json``: shard
+sizes 2^14..2^18 x m in {32, 256} x n in {2^20, 2^22}, key-value, with
+1 worker and the default count, each cell's time and peak workspace
+bytes, each size's peak RSS on a 2^22-pair call, host facts (CPUs, L2
+size, in-run memcpy GB/s), and the size the rule in
+:func:`summarize_sweep` picks. On a 2-CPU host with 2 MiB of L2 per
+core it picks 2^16.
+
+Run:  PYTHONPATH=src python benchmarks/bench_sharded.py [--sweep]
   or: PYTHONPATH=src python -m pytest benchmarks/bench_sharded.py -q
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
 
 from repro.engine import Workspace, sharded_multisplit
+from repro.engine.sharded import DEFAULT_SHARD_KEYS, _resolve_workers
 from repro.multisplit import RangeBuckets, multisplit
 
 N = 1 << 22
 M = 32
 WORKERS = (1, 2, 4)
-RESULT_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_sharded.json"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+RESULT_PATH = ROOT / "BENCH_sharded.json"
+SWEEP_PATH = ROOT / "BENCH_shard_sweep.json"
+SWEEP_SHARD_KEYS = tuple(1 << k for k in range(14, 19))
+SWEEP_BUCKETS = (32, 256)
+SWEEP_N = (1 << 20, 1 << 22)
+#: a shard size within this factor of the fastest (geometric mean over
+#: the grid) is as good as the fastest
+SWEEP_NEAR_BEST = 1.05
+#: per-shard scratch (the workers' gathers and stable orders) may add at
+#: most this fraction of a bulk call's input + output bytes to its peak
+#: RSS, measured over the smallest swept size
+SWEEP_RSS_BUDGET = 0.05
 
 
 def _timed_ms(fn) -> float:
@@ -114,6 +141,158 @@ def run(n: int = N, m: int = M, repeats: int = 5) -> dict:
     return report
 
 
+def host_facts() -> dict:
+    """CPUs, per-core L2 size (from ``/sys``, Linux only) and a memcpy
+    bandwidth measured in this run: what the sweep's optimum depends on."""
+    l2_kib = None
+    cache = pathlib.Path("/sys/devices/system/cpu/cpu0/cache")
+    for index in sorted(cache.glob("index*")):
+        try:
+            if (index / "level").read_text().strip() == "2":
+                size = (index / "size").read_text().strip()  # "2048K"
+                l2_kib = int(size[:-1]) * {"K": 1, "M": 1024}[size[-1]]
+        except (OSError, ValueError, KeyError):
+            pass
+    src = np.ones(1 << 22, dtype=np.uint32)  # 16 MiB
+    dst = np.empty_like(src)
+    np.copyto(dst, src)
+    copy_ms = _median([_timed_ms(lambda: np.copyto(dst, src))
+                       for _ in range(7)])
+    return {"nproc": os.cpu_count(),
+            "affinity": len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else None,
+            "l2_kib": l2_kib,
+            # read + write of the array, in bytes per ns
+            "memcpy_gbps": round(2 * src.nbytes / (copy_ms * 1e6), 2),
+            "numpy": np.__version__}
+
+
+def _status_kib(field: str) -> int:
+    """A ``/proc/self/status`` field in KiB (0 where there is none)."""
+    try:
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith(field + ":"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return 0
+
+
+def rss_child(shard_keys: int) -> None:
+    """Peak RSS growth, in bytes, of the bulk call (n = N, m = 32,
+    key-value, default workers) at ``shard_keys``; run in a fresh
+    interpreter so no other shard size's pages count."""
+    n = N
+    rng = np.random.default_rng(2016)
+    keys = rng.integers(0, 2**32, n, dtype=np.uint32)
+    values = np.arange(n, dtype=np.uint32)
+    spec = RangeBuckets(32)
+    rss0 = _status_kib("VmRSS")
+    ws = Workspace()
+    for _ in range(3):
+        sharded_multisplit(keys, spec, values=values, method="block",
+                           workspace=ws, shards=-(-n // shard_keys))
+    print((_status_kib("VmHWM") - rss0) * 1024)
+
+
+def bulk_peak_rss(shard_keys: int) -> int:
+    """:func:`rss_child` in a subprocess; 0 where RSS cannot be read."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--rss-child", str(shard_keys)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+            if p)})
+    return int(proc.stdout.split()[-1])
+
+
+def sweep(repeats: int = 5) -> dict:
+    """Shard-size grid: ``SWEEP_SHARD_KEYS`` x m in ``SWEEP_BUCKETS`` x n
+    in ``SWEEP_N``, key-value, with 1 worker and the default count.
+
+    Within one (n, m, workers) cell the shard sizes are timed round
+    robin, so background load hits them alike; each gets its own warmed
+    workspace, whose high-water mark is recorded. Every configuration
+    is checked bit-identical to the fast engine first. Each size's peak
+    RSS on the bulk call comes from :func:`bulk_peak_rss`.
+    """
+    default_workers = _resolve_workers(None)
+    worker_counts = sorted({1, default_workers})
+    rng = np.random.default_rng(2016)
+    cells = []
+    for n in SWEEP_N:
+        keys = rng.integers(0, 2**32, n, dtype=np.uint32)
+        values = np.arange(n, dtype=np.uint32)
+        for m in SWEEP_BUCKETS:
+            spec = RangeBuckets(m)
+            ref = multisplit(keys, spec, values=values, method="block",
+                             engine="fast")
+            for workers in worker_counts:
+                def call(ws, size):
+                    return sharded_multisplit(
+                        keys, spec, values=values, method="block",
+                        workspace=ws, max_workers=workers,
+                        shards=-(-n // size))
+                arenas = {}
+                for size in SWEEP_SHARD_KEYS:
+                    arenas[size] = Workspace()
+                    res = call(arenas[size], size)
+                    if not (np.array_equal(ref.keys, res.keys)
+                            and np.array_equal(ref.values, res.values)):
+                        raise AssertionError(
+                            f"drift at n={n} m={m} w={workers} shard={size}")
+                times = {size: [] for size in SWEEP_SHARD_KEYS}
+                for _ in range(repeats):
+                    for size in SWEEP_SHARD_KEYS:
+                        times[size].append(_timed_ms(
+                            lambda: call(arenas[size], size)))
+                for size in SWEEP_SHARD_KEYS:
+                    ms = _median(times[size])
+                    cells.append({
+                        "n": n, "m": m, "workers": workers,
+                        "shard_keys": size, "ms": round(ms, 3),
+                        "mkeys_s": round(n / ms / 1e3, 1),
+                        "peak_workspace_bytes": int(arenas[size].peak_nbytes),
+                    })
+    rss = {size: bulk_peak_rss(size) for size in SWEEP_SHARD_KEYS}
+    return {"host": host_facts(), "key_value": True, "repeats": repeats,
+            "default_workers": default_workers, "cells": cells,
+            **summarize_sweep(cells, rss)}
+
+
+def summarize_sweep(cells: list[dict], rss: dict) -> dict:
+    """Per shard size: the geometric mean over the grid of its time
+    relative to the fastest size of the same cell, and its bulk-call
+    peak RSS. ``pick`` is the smallest size within ``SWEEP_NEAR_BEST``
+    of the best mean among the sizes within ``SWEEP_RSS_BUDGET``."""
+    best = {}
+    for c in cells:
+        cell = (c["n"], c["m"], c["workers"])
+        best[cell] = min(best.get(cell, math.inf), c["ms"])
+    # the bulk call's uint32 keys + values, in and out
+    budget = SWEEP_RSS_BUDGET * 4 * 4 * N
+    by_size = {}
+    for size in SWEEP_SHARD_KEYS:
+        ratios = [c["ms"] / best[(c["n"], c["m"], c["workers"])]
+                  for c in cells if c["shard_keys"] == size]
+        by_size[size] = {
+            "gmean_vs_best": round(math.exp(
+                sum(map(math.log, ratios)) / len(ratios)), 3),
+            "worst_vs_best": round(max(ratios), 3),
+            "bulk_peak_rss_bytes": rss[size],
+            "within_rss_budget":
+                rss[size] - rss[SWEEP_SHARD_KEYS[0]] <= budget,
+        }
+    fits = {k: v for k, v in by_size.items() if v["within_rss_budget"]}
+    top = min(v["gmean_vs_best"] for v in fits.values())
+    pick = min(k for k, v in fits.items()
+               if v["gmean_vs_best"] <= top * SWEEP_NEAR_BEST)
+    return {"by_shard_keys": {str(k): v for k, v in by_size.items()},
+            "rss_budget_bytes": int(budget), "pick": pick,
+            "default_shard_keys": DEFAULT_SHARD_KEYS}
+
+
 def test_sharded_speedup():
     report = run()
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
@@ -127,6 +306,16 @@ def test_sharded_speedup():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--rss-child"]:
+        rss_child(int(sys.argv[2]))
+        sys.exit(0)
+    if "--sweep" in sys.argv[1:]:
+        report = sweep()
+        SWEEP_PATH.write_text(json.dumps(report, indent=2) + "\n")
+        print(json.dumps({k: v for k, v in report.items() if k != "cells"},
+                         indent=2))
+        print(f"[saved to {SWEEP_PATH}]")
+        sys.exit(0)
     report = run()
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))

@@ -34,11 +34,14 @@ class NumpyBackend(KernelBackend):
         if n == out_keys.size:
             # a shard holding every element lands exactly in bucket
             # order (its offsets are the bucket starts): gather straight
-            # into place
+            # into place. take() with out= and the default mode="raise"
+            # gathers into a hidden buffer and copies it over; argsort
+            # indices are in range, so "clip" checks nothing and saves
+            # that pass (here and below)
             order = np.argsort(ids, kind="stable")
-            np.take(keys, order, out=out_keys)
+            np.take(keys, order, out=out_keys, mode="clip")
             if kv:
-                np.take(values, order, out=out_values)
+                np.take(values, order, out=out_values, mode="clip")
             return
         if monotone:
             ks, vs = keys, (values if kv else None)
@@ -48,19 +51,21 @@ class NumpyBackend(KernelBackend):
             order = np.argsort(ids, kind="stable")
             if arena is not None:
                 ks = arena.take("shard_keys", n, keys.dtype)
-                np.take(keys, order, out=ks)
+                np.take(keys, order, out=ks, mode="clip")
                 vs = None
                 if kv:
                     vs = arena.take("shard_values", n, values.dtype)
-                    np.take(values, order, out=vs)
+                    np.take(values, order, out=vs, mode="clip")
             else:
                 ks = keys[order]
                 vs = values[order] if kv else None
+        # walk plain Python ints: per-bucket numpy scalar indexing is
+        # interpreter work on the order of the copies themselves
         done = 0
-        for b in np.flatnonzero(counts):
-            cb = int(counts[b])
-            o = int(offsets[b])
-            out_keys[o:o + cb] = ks[done:done + cb]
-            if kv:
-                out_values[o:o + cb] = vs[done:done + cb]
-            done += cb
+        for cb, o in zip(counts.tolist(), offsets.tolist()):
+            if cb:
+                end = done + cb
+                out_keys[o:o + cb] = ks[done:end]
+                if kv:
+                    out_values[o:o + cb] = vs[done:end]
+                done = end

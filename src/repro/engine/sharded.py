@@ -22,9 +22,10 @@ The ``engine=`` names are policies that pick only the chunk source, the
 shard size and where outputs go: ``fast`` (stable family) is one
 in-memory chunk as one shard, with no thread pool — its offsets are the
 bucket starts, so the stable gather writes straight into the output;
-``sharded`` (this module) is one in-memory chunk of ~32K-key,
-cache-resident shards; ``stream`` (:mod:`repro.engine.stream`) replays
-chunks of ``chunk_bytes`` from an array, memmap or chunked source.
+``sharded`` (this module) is one in-memory chunk of
+``DEFAULT_SHARD_KEYS``-key (2^16) shards; ``stream``
+(:mod:`repro.engine.stream`) replays chunks of ``chunk_bytes`` from an
+array, memmap or chunked source.
 Worker threads come from one process-wide pool of one thread per CPU,
 created on first use and reused (the dominant numpy kernels release the
 GIL).
@@ -50,11 +51,17 @@ __all__ = ["sharded_multisplit", "scan_offsets", "run_pipeline",
            "SHARDED_AUTO_MIN_N", "SHARDED_AUTO_MIN_N_SINGLE",
            "DEFAULT_SHARD_KEYS"]
 
-# ~32K keys per shard keeps a shard's ids + permutation + gathered
-# output L2-resident; calibrated on the chunk-size sweep in
-# benchmarks/bench_sharded.py (16K-128K shards are within ~10% of each
-# other; the monolithic path is ~3x slower than any of them)
-DEFAULT_SHARD_KEYS = 1 << 15
+# keys per shard, from the shard-size sweep of benchmarks/bench_sharded.py
+# (BENCH_shard_sweep.json: 2^14..2^18 keys, m in {32, 256}, n in {2^20,
+# 2^22}, 1 and 2 workers, on a 2-CPU host with 2 MiB of L2 per core).
+# Over the grid, 2^16 is 1.17x faster than 2^15 (geometric mean) and
+# 2^17 only 1% faster than 2^16, but each worker's gather and argsort
+# scratch grows with the shard: over 2^14, a 2^22-pair call's peak RSS
+# rises 2.7 MiB (+7%) at 2^16 and 6.3 MiB (+17%) at 2^17, against a
+# budget of 5% of the call's 64 MiB of data: 2^16 is the sweep's pick.
+# Larger shards pay less fixed cost per shard (kernel calls, the
+# per-bucket copy loop).
+DEFAULT_SHARD_KEYS = 1 << 16
 # hard cap so `shards=` requests cannot explode the histogram matrix;
 # 4096 shards x m=256 is still only an 8 MB scan
 MAX_SHARDS = 4096

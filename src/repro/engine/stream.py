@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 # Default super-shard budget: 16 MiB of keys per chunk (4M uint32 keys
-# -> 128 cache-resident shards) keeps the working set far below any
+# -> 64 shards of DEFAULT_SHARD_KEYS) keeps the working set far below any
 # realistic RAM while leaving each chunk enough shards to occupy the
 # worker pool; the bench sweep in benchmarks/bench_stream.py shows
 # throughput is flat within ~10% from 8 MiB to 64 MiB.

@@ -72,15 +72,16 @@ class BucketSpec:
         is an optional :class:`~repro.engine.workspace.Workspace`-like
         pool (``take(slot, size, dtype)``) for evaluation scratch.
 
-        The engines' hot loops call the spec once per ~32K-key shard.
-        With the default :meth:`ids` path every call allocates a few
-        ~256KB temporaries — sized right at glibc's dynamic mmap
-        threshold, so each one is a fresh ``mmap``/``munmap`` pair and
-        the loop page-faults its scratch back in on every shard (~40%
-        of prescan wall time). Subclasses with arena-scratch overrides
-        make the per-shard evaluation allocation-free; results must be
-        bit-identical to :meth:`ids`. The base implementation just
-        falls back to :meth:`ids`.
+        The engines' hot loops call the spec once per shard
+        (``DEFAULT_SHARD_KEYS`` keys). With the default :meth:`ids` path
+        every call allocates a few shard-sized temporaries — at or
+        above glibc's dynamic mmap threshold, so each one can be a
+        fresh ``mmap``/``munmap`` pair and the loop page-faults its
+        scratch back in on every shard (measured at ~40% of prescan
+        wall time with 2^15-key shards). Subclasses with arena-scratch
+        overrides make the per-shard evaluation allocation-free; results
+        must be bit-identical to :meth:`ids`. The base implementation
+        just falls back to :meth:`ids`.
         """
         np.copyto(out, self.ids(np.asarray(keys)), casting="unsafe")
 
@@ -203,42 +204,93 @@ class BucketSpec:
 
 
 class RangeBuckets(BucketSpec):
-    """``m`` equal-width ranges of ``[lo, hi)`` (default: full uint32 domain)."""
+    """``m`` equal-width ranges of ``[lo, hi)`` (default: full uint32 domain).
+
+    Key ``k`` lands in bucket ``floor((k - lo) * m / (hi - lo))``. The
+    arithmetic is strength-reduced and exact in uint64: a shift when
+    the span and ``m`` are both powers of two, a multiply and a shift
+    when only the span is, and a multiply and a division otherwise. A
+    domain whose ``(hi - lo - 1) * m`` does not fit in uint64 and that
+    the shift alone cannot serve is rejected here rather than wrapped.
+    """
 
     elementwise = True
 
     def __init__(self, num_buckets: int, lo: int = 0, hi: int = 2**32):
         super().__init__(num_buckets, instruction_cost=3)
+        lo, hi = int(lo), int(hi)
         if not lo < hi:
             raise ValueError(f"empty key domain [{lo}, {hi})")
-        self.lo = int(lo)
-        self.hi = int(hi)
+        if lo < 0 or hi > 2**64:
+            raise ValueError(
+                f"key domain [{lo}, {hi}) must lie within [0, 2**64)")
+        self.lo = lo
+        self.hi = hi
+        m, span = self.num_buckets, hi - lo
+        pow2 = span & (span - 1) == 0
+        if pow2 and m & (m - 1) == 0 and m <= span:
+            # floor(rel * m / span) == rel >> log2(span / m)
+            self._mul, self._shift = 1, span.bit_length() - m.bit_length()
+        elif (span - 1) * m < 2**64:
+            self._mul = m
+            self._shift = span.bit_length() - 1 if pow2 else None
+        else:
+            raise ValueError(
+                f"RangeBuckets({m}, {lo}, {hi}): (hi - lo - 1) * num_buckets "
+                f"= {(span - 1) * m} overflows uint64; use a power-of-two "
+                "span and bucket count, or a narrower domain")
+
+    def _eval(self, keys: np.ndarray, out: np.ndarray, take) -> None:
+        """The one arithmetic path of :meth:`ids` and :meth:`eval_into`:
+        bucket ids of ``keys`` into ``out``; ``take(slot, dtype)`` gives
+        ``keys.size`` elements of scratch.
+
+        A pure shift of unsigned keys runs in the key dtype when no
+        below-domain key can wrap under ``hi`` there (``lo == 0``, or
+        ``hi`` within the dtype); everything else is widened to uint64
+        with C casts and mod-2^64 wraps, so a key below ``lo`` or a
+        negative key becomes huge and fails the domain check.
+        """
+        if keys.size == 0:
+            return
+        dt = keys.dtype
+        top = int(np.iinfo(dt).max) if dt.kind == "u" else None
+        if (self._mul == 1 and self._shift is not None and top is not None
+                and (self.lo == 0 or self.hi <= top + 1)):
+            rel = keys
+            if self.lo:
+                rel = take("spec.rel", dt)
+                np.subtract(keys, dt.type(self.lo), out=rel)
+        else:
+            rel = take("spec.rel64", np.uint64)
+            np.copyto(rel, keys, casting="unsafe")
+            if self.lo:
+                np.subtract(rel, np.uint64(self.lo), out=rel)
+        # skipped only where no key of the dtype can leave [lo, hi)
+        whole_dtype = top is not None and self.lo == 0 and self.hi > top
+        if not whole_dtype and int(rel.max()) >= self.hi - self.lo:
+            raise ValueError("key outside bucket domain")
+        if self._mul != 1:
+            np.multiply(rel, np.uint64(self._mul), out=rel)
+        if self._shift is None:
+            np.floor_divide(rel, np.uint64(self.hi - self.lo), out=out,
+                            casting="unsafe")
+        else:
+            np.right_shift(rel, rel.dtype.type(self._shift), out=out,
+                           casting="unsafe")
 
     def ids(self, keys: np.ndarray) -> np.ndarray:
-        k = keys.astype(np.uint64)
-        span = np.uint64(self.hi - self.lo)
-        rel = k - np.uint64(self.lo)
-        if keys.size and (int(rel.max()) >= self.hi - self.lo):
-            raise ValueError("key outside bucket domain")
-        return ((rel * np.uint64(self.num_buckets)) // span).astype(np.uint32)
+        out = np.empty(keys.shape, dtype=np.uint32)
+        self._eval(keys, out, lambda _slot, dtype: np.empty(keys.shape, dtype))
+        return out
 
     def eval_into(self, keys: np.ndarray, out: np.ndarray, arena=None) -> None:
-        if arena is None:
-            return super().eval_into(keys, out)
+        keys = np.asarray(keys)
         n = keys.size
-        span = self.hi - self.lo
-        # same arithmetic as ids(), element for element, but through one
-        # pooled uint64 scratch buffer: the C casts and mod-2^64 wraps
-        # below are exactly what astype/subtract produce there
-        rel = arena.take("spec.rel64", n, np.uint64)
-        np.copyto(rel, keys, casting="unsafe")
-        if self.lo:
-            np.subtract(rel, np.uint64(self.lo), out=rel)
-        if n and int(rel.max()) >= span:
-            raise ValueError("key outside bucket domain")
-        np.multiply(rel, np.uint64(self.num_buckets), out=rel)
-        np.floor_divide(rel, np.uint64(span), out=rel)
-        np.copyto(out, rel, casting="unsafe")
+        self._eval(keys, out,
+                   (lambda slot, dtype: arena.take(slot, n, dtype))
+                   if arena is not None else
+                   (lambda _slot, dtype: np.empty(n, dtype)))
 
 
 class IdentityBuckets(BucketSpec):
